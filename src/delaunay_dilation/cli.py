@@ -243,6 +243,10 @@ def _cmd_random(args) -> int:
         ns = [int(s) for s in args.ns.split(",") if s]
     except ValueError as e:
         raise _UsageError(f"bad --ns list: {e}") from e
+    if any(n < 3 for n in ns):
+        raise _UsageError("--ns sizes must be at least 3")
+    if ns != sorted(set(ns)):
+        raise _UsageError("--ns sizes must be strictly increasing")
     result = exp.dilation_trend(density, ns, trials=args.trials, seed=args.seed)
     csv = result.to_csv()
     if args.out:

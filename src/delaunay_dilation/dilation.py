@@ -1,10 +1,16 @@
 """Shortest paths and dilation of triangulations viewed as Euclidean graphs.
 
-The all-pairs maximum runs one binary-heap Dijkstra per source (scipy's
-csgraph implementation) and reduces deterministically: ties in the ratio go
-to the smallest index pair.  Witness paths and single-pair queries use a
-local Dijkstra with exact-tie preference for the lexicographically smallest
-vertex sequence.
+The all-pairs maximum streams over blocks of ``_BLOCK_ROWS`` source rows.
+Each block runs one binary-heap Dijkstra per source (scipy's csgraph
+implementation) and reduces only the pairs ``j > i``, so memory is
+O(B*n) for a block of B sources rather than O(n^2).  The Dijkstra runs in
+directed mode: the sparse matrix stores every edge once in each direction,
+so each edge is relaxed once per direction and the settled distances are
+the same float sums as in undirected mode.  The reduction is deterministic:
+ties in the ratio go to the smallest ``(i, j)`` in row-major order, within a
+block by the first maximum and across blocks by a strict comparison.
+Witness paths and single-pair queries use a local Dijkstra with exact-tie
+preference for the lexicographically smallest vertex sequence.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,6 +40,9 @@ __all__ = [
     "pairs_to_csv",
 ]
 
+# Sources per Dijkstra block: a block holds _BLOCK_ROWS * n float64 distances.
+_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class EuclideanGraph:
@@ -43,9 +53,15 @@ class EuclideanGraph:
 
     def __post_init__(self):
         n = len(self.points)
+        seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise GeometryError(f"bad edge {(u, v)}")
+            # The sparse matrix would sum the weights of a repeated edge.
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise GeometryError(f"repeated edge {(u, v)}")
+            seen.add(key)
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
@@ -147,39 +163,56 @@ def pair_dilation(g: EuclideanGraph, u: int, v: int) -> float:
     return length / dist(g.points[u], g.points[v])
 
 
-def _distance_matrix(g: EuclideanGraph) -> np.ndarray:
-    return _csgraph_dijkstra(g._csr, directed=False)
-
-
 def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationReport:
-    """Maximum dilation over all vertex pairs, with witness pair and path."""
+    """Maximum dilation over all vertex pairs, with witness pair and path.
+
+    Ties in the ratio go to the smallest ``(i, j)`` in row-major order.  With
+    ``include_pairs`` the report carries every ``(i, j, ratio)`` with
+    ``i < j``, in that same order.
+    """
     n = len(g.points)
     if n < 2:
         raise GeometryError("need at least 2 vertices")
-    coords = g.points.coords
-    graph_d = _distance_matrix(g)
-    if np.isinf(graph_d).any():
-        raise GeometryError("graph is disconnected")
-    diff = coords[:, None, :] - coords[None, :, :]
-    euclid = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    iu, ju = np.triu_indices(n, k=1)
-    ratios = graph_d[iu, ju] / euclid[iu, ju]
-    best = int(np.argmax(ratios))
-    wi, wj = int(iu[best]), int(ju[best])
-
-    length, path = shortest_path(g, wi, wj)
-    value = _path_length(coords, path) / dist(g.points[wi], g.points[wj])
-
-    pairs = None
-    if include_pairs:
-        pairs = tuple(
-            (int(i), int(j), float(r)) for i, j, r in zip(iu, ju, ratios)
+    x, y = g.points.coords.T
+    best = -math.inf
+    wi = wj = 0
+    pairs: list[tuple[int, int, float]] | None = [] if include_pairs else None
+    # The last vertex has no partner j > i, so it is never a source.
+    for start in range(0, n - 1, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n - 1)
+        graph_d = _csgraph_dijkstra(
+            g._csr, directed=True, indices=np.arange(start, stop)
         )
+        if np.isinf(graph_d).any():
+            raise GeometryError("graph is disconnected")
+        # Row r is source start + r and column c is target start + 1 + c, so
+        # the pair has j > i exactly when c >= r.  The other entries are set
+        # to -inf so they never win the argmax.
+        upper = np.arange(n - start - 1) >= np.arange(stop - start)[:, None]
+        dx = x[start:stop, None] - x[None, start + 1:]
+        dy = y[start:stop, None] - y[None, start + 1:]
+        ratios = np.hypot(dx, dy, out=dx)
+        np.divide(graph_d[:, start + 1:], ratios, out=ratios, where=upper)
+        ratios[~upper] = -np.inf
+        if pairs is not None:
+            for r in range(stop - start):
+                i = start + r
+                pairs.extend(
+                    zip(repeat(i), range(i + 1, n), ratios[r, r:].tolist())
+                )
+        r, c = divmod(int(np.argmax(ratios)), n - start - 1)
+        # Strict > keeps the earlier block's pair on a tie across blocks.
+        if ratios[r, c] > best:
+            best = ratios[r, c]
+            wi, wj = start + r, start + 1 + c
+
+    _, path = shortest_path(g, wi, wj)
+    value = _path_length(g.points.coords, path) / dist(g.points[wi], g.points[wj])
     return DilationReport(
         max_dilation=float(value),
         witness=(wi, wj),
         witness_path=tuple(path),
-        pairs=pairs,
+        pairs=None if pairs is None else tuple(pairs),
     )
 
 

@@ -46,12 +46,24 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MAX_REJECTION_DRAWS = 10**6
+# Redraw rounds before sample() gives up on a density that keeps repeating.
+_MAX_SAMPLE_ROUNDS = 100
+
+
+def _require_finite(name: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class UniformSquare:
     low: tuple[float, float] = (0.0, 0.0)
     high: tuple[float, float] = (1.0, 1.0)
+
+    def __post_init__(self):
+        _require_finite("low and high", *self.low, *self.high)
+        if not all(lo < hi for lo, hi in zip(self.low, self.high)):
+            raise ValueError("low must be below high in both coordinates")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo = np.asarray(self.low)
@@ -63,6 +75,11 @@ class UniformSquare:
 class UniformDisk:
     center: tuple[float, float] = (0.0, 0.0)
     radius: float = 1.0
+
+    def __post_init__(self):
+        _require_finite("center and radius", *self.center, self.radius)
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         r = self.radius * np.sqrt(rng.random(n))
@@ -77,6 +94,11 @@ class Gaussian:
     mean: tuple[float, float] = (0.0, 0.0)
     sigma: float = 1.0
 
+    def __post_init__(self):
+        _require_finite("mean and sigma", *self.mean, self.sigma)
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.asarray(self.mean) + self.sigma * rng.standard_normal((n, 2))
 
@@ -89,6 +111,9 @@ class Mixture:
     def __post_init__(self):
         if len(self.components) != len(self.weights) or not self.components:
             raise ValueError("components and weights must match and be nonempty")
+        _require_finite("weights", *self.weights)
+        if any(w < 0 for w in self.weights):
+            raise ValueError("weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
@@ -123,20 +148,29 @@ def _seed_int(*parts: int) -> int:
 
 
 def sample(density: DensitySpec, n: int, seed: int) -> PointSet:
-    """n i.i.d. points from the density; exact duplicates are redrawn."""
+    """n i.i.d. points from the density; exact duplicates are redrawn.
+
+    Raises ValueError when duplicates remain after ``_MAX_SAMPLE_ROUNDS``
+    rounds of redraws, as for a density with too few distinct values.
+    """
     if n < 3:
         raise ValueError("n must be at least 3")
     rng = np.random.default_rng(seed)
     pts: list[tuple[float, float]] = []
     seen: set[tuple[float, float]] = set()
-    while len(pts) < n:
+    for _ in range(_MAX_SAMPLE_ROUNDS):
         for x, y in density.draw(rng, n - len(pts)):
             key = (float(x), float(y))
             if key in seen:
                 continue
             seen.add(key)
             pts.append(key)
-    return PointSet.from_coords(pts)
+        if len(pts) == n:
+            return PointSet.from_coords(pts)
+    raise ValueError(
+        f"density repeated its draws: {len(pts)} distinct of {n} points "
+        f"after {_MAX_SAMPLE_ROUNDS} rounds"
+    )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Independent oracles for cross-checking the library.
 
 Deliberately share no code with the package: rational-arithmetic predicates,
-a sweep-then-Lawson-flip Delaunay builder, and exhaustive simple-path
-enumeration for shortest paths.
+a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
+enumeration for shortest paths, and the original dense all-pairs dilation
+reduction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 
 def orient_frac(a, b, c) -> int:
@@ -142,3 +147,30 @@ def exhaustive_max_dilation(pts, edges):
                 top = ratio
                 witness = (i, j)
     return top, witness
+
+
+def dense_max_dilation(pts, edges, include_pairs=False):
+    """Witness pair and optional pair table from the dense n x n reduction.
+
+    The original implementation: an undirected all-pairs Dijkstra, dense
+    Euclidean and ratio arrays over the upper triangle, and the first
+    maximum in row-major order.  Assumes a connected graph.
+    """
+    n = len(pts)
+    coords = np.array(pts, dtype=np.float64)
+    rows, cols, vals = [], [], []
+    for u, v in edges:
+        w = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w, w]
+    graph_d = dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
+    diff = coords[:, None, :] - coords[None, :, :]
+    euclid = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    iu, ju = np.triu_indices(n, k=1)
+    ratios = graph_d[iu, ju] / euclid[iu, ju]
+    best = int(np.argmax(ratios))
+    pairs = None
+    if include_pairs:
+        pairs = tuple((int(i), int(j), float(r)) for i, j, r in zip(iu, ju, ratios))
+    return (int(iu[best]), int(ju[best])), pairs

@@ -198,6 +198,15 @@ class TestRandomAndPlant:
         code = main(["random", "--dist", "zipf", "--ns", "10", "--trials", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("ns", ["2", "5,3", "5,5"])
+    def test_bad_ns_usage_error(self, ns, capsys):
+        code = main(["random", "--ns", ns, "--trials", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --ns")
+
     def test_plant_keeps_bound(self, tmp_path, capsys):
         code = main(
             ["plant", "--config", "convex", "--config-n", "62",

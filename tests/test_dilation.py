@@ -1,10 +1,22 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delaunay_dilation.constructions import (
+    ChewSpec,
+    ThreeCircleSpec,
+    generate_chew,
+    generate_three_circle,
+)
 from delaunay_dilation.dilation import (
+    DilationReport,
     EuclideanGraph,
+    _path_length,
     graph_from_triangulation,
     max_dilation,
     pair_dilation,
@@ -12,9 +24,10 @@ from delaunay_dilation.dilation import (
     report_to_json,
     shortest_path,
 )
+from delaunay_dilation.experiments import UniformSquare, sample
 from delaunay_dilation.geom import GeometryError, dist
 from delaunay_dilation.triangulation import PointSet, Triangulation, delaunay
-from oracles import exhaustive_max_dilation
+from oracles import dense_max_dilation, exhaustive_max_dilation
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -50,6 +63,18 @@ class TestGraphFromTriangulation:
     def test_weights_recomputable(self):
         g = random_graph(40, seed=3)
         assert g.check_weights()
+
+    @pytest.mark.parametrize("repeat", [(3, 1), (1, 3)])
+    def test_repeated_edge_rejected(self, repeat):
+        # The sparse matrix summed repeated edges: with (3, 1) repeated this
+        # graph reported max dilation 1.0 at (1, 3) instead of sqrt(2) at (0, 1).
+        ps = PointSet.from_coords([(0, 0), (2, 0), (1, 1), (3, 0)])
+        edges = ((0, 2), (2, 1), (1, 3))
+        with pytest.raises(GeometryError, match="repeated edge"):
+            EuclideanGraph(points=ps, edges=edges + (repeat,))
+        rep = max_dilation(EuclideanGraph(points=ps, edges=edges))
+        assert rep.max_dilation == math.sqrt(2)
+        assert rep.witness == (0, 1)
 
 
 class TestShortestPath:
@@ -189,3 +214,94 @@ class TestMaxDilation:
         g = EuclideanGraph(points=ps, edges=())
         with pytest.raises(GeometryError):
             max_dilation(g)
+
+
+def dense_report(g, include_pairs):
+    """The report as the original dense reduction produced it."""
+    coords = [(p.x, p.y) for p in g.points]
+    (wi, wj), pairs = dense_max_dilation(coords, g.edges, include_pairs)
+    _, path = shortest_path(g, wi, wj)
+    value = _path_length(g.points.coords, path) / dist(g.points[wi], g.points[wj])
+    return DilationReport(float(value), (wi, wj), tuple(path), pairs)
+
+
+def construction_graph(out):
+    return graph_from_triangulation(out.points, out.triangulation)
+
+
+def uniform_graph(n):
+    ps = sample(UniformSquare(), n, seed=n)
+    return graph_from_triangulation(ps, delaunay(ps))
+
+
+class TestStreamedMatchesDense:
+    """Streaming over source blocks changes no bit of the report."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # Chew ladders have exact float ties in the ratio.
+            lambda: construction_graph(generate_chew(ChewSpec(16))),
+            lambda: construction_graph(generate_chew(ChewSpec(64))),
+            lambda: construction_graph(
+                generate_three_circle(ThreeCircleSpec(arc_density=30.0))
+            ),
+            # Sizes around the 256-row block boundary.
+            *[lambda n=n: uniform_graph(n) for n in (3, 255, 256, 257, 513)],
+            # Every ratio is exactly 1.0, so every block ties with the first.
+            lambda: EuclideanGraph(
+                points=PointSet.from_coords([(k, 0) for k in range(600)]),
+                edges=tuple((k, k + 1) for k in range(599)),
+            ),
+        ],
+        ids=["chew16", "chew64", "three-circle-30",
+             "uniform3", "uniform255", "uniform256", "uniform257", "uniform513",
+             "collinear-path-600"],
+    )
+    def test_bit_identical(self, build):
+        g = build()
+        expect = dense_report(g, include_pairs=True)
+        assert max_dilation(g, include_pairs=True) == expect
+        assert max_dilation(g) == dataclasses.replace(expect, pairs=None)
+
+    def test_convex_222(self, two_semi_222):
+        g = construction_graph(two_semi_222)
+        assert max_dilation(g, include_pairs=True) == dense_report(g, True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_small_connected_graphs_match_exhaustive(self, data):
+        # Integer coordinates up to 12 keep every distance the same under
+        # numpy's and math's hypot, so ratio ties are exact on both sides.
+        coords = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                min_size=2, max_size=7, unique=True,
+            )
+        )
+        n = len(coords)
+        tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+        extra = data.draw(
+            st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        )
+        edges = tuple(sorted(tree | extra))
+        if data.draw(st.booleans()):
+            edges = tuple((v, u) for u, v in reversed(edges))
+        g = EuclideanGraph(points=PointSet.from_coords(coords), edges=edges)
+        rep = max_dilation(g, include_pairs=True)
+        oracle_val, oracle_wit = exhaustive_max_dilation(coords, edges)
+        assert rep.max_dilation == oracle_val
+        assert rep.witness == oracle_wit
+        assert len(rep.pairs) == n * (n - 1) // 2
+
+
+def test_max_dilation_memory_below_one_dense_matrix():
+    n = 2000
+    g = uniform_graph(n)
+    tracemalloc.start()
+    try:
+        max_dilation(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n

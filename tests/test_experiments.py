@@ -1,5 +1,7 @@
 import json
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +23,22 @@ from delaunay_dilation.experiments import (
 )
 from delaunay_dilation.geom import GeometryError, Point2, dist
 from delaunay_dilation.triangulation import PointSet, delaunay, make_unique_delaunay
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test with TimeoutError if the block runs longer than this."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def scaled_two_semicircle_config(n_arc=31):
@@ -78,6 +96,47 @@ class TestSample:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             sample(UniformSquare(), 2, seed=0)
+
+    def test_one_draw_without_duplicates(self):
+        # Valid densities consume the generator as one draw of n points.
+        ps = sample(UniformSquare(), 50, seed=4)
+        expect = np.random.default_rng(4).random((50, 2))
+        assert ps.coords.tolist() == expect.tolist()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Gaussian(sigma=0.0),
+            lambda: Gaussian(sigma=-1.0),
+            lambda: Gaussian(sigma=math.nan),
+            lambda: Gaussian(sigma=math.inf),
+            lambda: Gaussian(mean=(math.nan, 0.0)),
+            lambda: UniformDisk(radius=0.0),
+            lambda: UniformDisk(radius=math.inf),
+            lambda: UniformDisk(center=(0.0, math.inf)),
+            lambda: UniformSquare(low=(0.0, 0.0), high=(0.0, 1.0)),
+            lambda: UniformSquare(low=(1.0, 0.0), high=(0.0, 1.0)),
+            lambda: UniformSquare(high=(math.inf, 1.0)),
+            lambda: Mixture((Gaussian(), Gaussian()), (1.5, -0.5)),
+            lambda: Mixture((Gaussian(),), (math.nan,)),
+        ],
+        ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "mean-nan",
+             "radius-zero", "radius-inf", "center-inf", "square-flat",
+             "square-reversed", "square-inf", "weight-negative", "weight-nan"],
+    )
+    def test_invalid_density_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_zero_sigma_rejected_without_hanging(self):
+        with time_limit(10), pytest.raises(ValueError):
+            sample(Gaussian(sigma=0.0), 5, 0)
+
+    def test_repeating_draws_raise(self):
+        # A square one subnormal wide has at most four distinct points.
+        tiny = UniformSquare(low=(0.0, 0.0), high=(5e-324, 5e-324))
+        with time_limit(10), pytest.raises(ValueError, match="repeated"):
+            sample(tiny, 5, seed=0)
 
 
 class TestDilationTrend:
