@@ -205,6 +205,8 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
         if ratios[r, c] > best:
             best = ratios[r, c]
             wi, wj = start + r, start + 1 + c
+        # Free this block's arrays before the next Dijkstra allocates its own.
+        del graph_d, upper, dx, dy, ratios
 
     _, path = shortest_path(g, wi, wj)
     value = _path_length(g.points.coords, path) / dist(g.points[wi], g.points[wj])

@@ -23,6 +23,7 @@ from .triangulation import (
     PointSet,
     Triangulation,
     _has_exact_cocircularity,
+    _mix_seed,
     delaunay,
     stability_check,
 )
@@ -143,10 +144,6 @@ def density_from_name(name: str) -> DensitySpec:
     return table[name]
 
 
-def _seed_int(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def sample(density: DensitySpec, n: int, seed: int) -> PointSet:
     """n i.i.d. points from the density; exact duplicates are redrawn.
 
@@ -237,7 +234,7 @@ def dilation_trend(
     for n in ns:
         for trial in range(trials):
             for attempt in range(16):
-                pts = sample(density, n, _seed_int(seed, n, trial, attempt))
+                pts = sample(density, n, _mix_seed(seed, n, trial, attempt))
                 try:
                     tri = delaunay(pts)
                 except AllCollinearError:

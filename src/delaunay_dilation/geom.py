@@ -107,13 +107,17 @@ def orient2d(a: Point2, b: Point2, c: Point2) -> Sign:
 
     Exact for all representable inputs.
     """
-    detleft = (a.x - c.x) * (b.y - c.y)
-    detright = (a.y - c.y) * (b.x - c.x)
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if abs(det) > _ORIENT_BOUND * detsum:
+    det, bound = _orient2d_float(a.x, a.y, b.x, b.y, c.x, c.y)
+    if abs(det) > bound:
         return _sign(det)
     return _orient2d_exact(a, b, c)
+
+
+def _orient2d_float(ax, ay, bx, by, cx, cy):
+    """(det, bound) on floats or numpy arrays; det's sign is sure if |det| > bound."""
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    return detleft - detright, _ORIENT_BOUND * (abs(detleft) + abs(detright))
 
 
 def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> Sign:
@@ -133,13 +137,20 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
         raise CollinearPointsError("incircle needs a non-degenerate triangle")
     if ori is Sign.NEGATIVE:
         b, c = c, b
+    det, bound = _incircle_float(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    if abs(det) > bound:
+        return _sign(det)
+    return _incircle_exact(a, b, c, d)
 
-    adx = a.x - d.x
-    ady = a.y - d.y
-    bdx = b.x - d.x
-    bdy = b.y - d.y
-    cdx = c.x - d.x
-    cdy = c.y - d.y
+
+def _incircle_float(ax, ay, bx, by, cx, cy, dx, dy):
+    """(det, bound) for ccw abc, on floats or arrays, as in _orient2d_float."""
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
 
     bdxcdy = bdx * cdy
     cdxbdy = cdx * bdy
@@ -161,9 +172,7 @@ def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
         + blift * (abs(cdxady) + abs(adxcdy))
         + clift * (abs(adxbdy) + abs(bdxady))
     )
-    if abs(det) > _INCIRCLE_BOUND * permanent:
-        return _sign(det)
-    return _incircle_exact(a, b, c, d)
+    return det, _INCIRCLE_BOUND * permanent
 
 
 def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:

@@ -1,21 +1,19 @@
 """Indexed triangulations and a robust Delaunay builder.
 
 Triangulations are plain lists of index triples over a PointSet; adjacency is
-derived on demand.  The Delaunay builder is a randomized incremental
-Bowyer-Watson with a symbolic ghost vertex for the outside face, running
-entirely on the exact predicates from ``geom``, so cocircular and collinear
-degeneracies are handled without tolerances.  Exactly cocircular groups are
-re-triangulated to the lexicographically smallest completion, which makes
-the builder deterministic even on symmetric inputs.
+derived on demand.  The Delaunay builder re-orients Qhull's triangulation and
+legalises it with Lawson flips, both decided by the exact predicates from
+``geom`` (vectorised float filters settle the easy cases), so cocircular and
+collinear degeneracies are handled without tolerances.  An exact x-sweep
+seeds the flips where Qhull's output is unusable.  Exactly cocircular groups
+are re-triangulated to the lexicographically smallest completion, so the
+triangles are a pure function of the points.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import random
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +23,8 @@ from .geom import (
     GeometryError,
     Point2,
     Sign,
+    _incircle_float,
+    _orient2d_float,
     dist,
     incircle,
     orient2d,
@@ -48,8 +48,6 @@ __all__ = [
     "triangulation_to_json",
     "triangulation_from_json",
 ]
-
-_GHOST = -1
 
 
 class TriangulationStructureError(GeometryError):
@@ -206,174 +204,172 @@ def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
 # Delaunay builder
 # --------------------------------------------------------------------------
 
-def _shuffle_seed(ps: PointSet) -> int:
-    digest = hashlib.sha256()
-    for p in ps:
-        digest.update(struct.pack("<dd", p.x, p.y))
-    return int.from_bytes(digest.digest()[:8], "little")
-
-
-def _between_collinear(a: Point2, b: Point2, p: Point2) -> bool:
-    """Strict betweenness for points already known collinear."""
-    if a.x != b.x:
-        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        return lo < p.x < hi
-    lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-    return lo < p.y < hi
-
-
-class _Mesh:
-    """Mutable triangle soup with directed-edge adjacency and a ghost rim."""
-
-    def __init__(self, ps: PointSet):
-        self.ps = ps
-        self.tris: dict[int, tuple[int, int, int]] = {}
-        self.edge_tri: dict[tuple[int, int], int] = {}
-        self.next_id = 0
-        self.last_finite = None
-
-    def add(self, a: int, b: int, c: int) -> int:
-        # Keep the ghost in the last slot, preserving cyclic order.
-        if a == _GHOST:
-            a, b, c = b, c, a
-        elif b == _GHOST:
-            a, b, c = c, a, b
-        tid = self.next_id
-        self.next_id += 1
-        self.tris[tid] = (a, b, c)
-        self.edge_tri[(a, b)] = tid
-        self.edge_tri[(b, c)] = tid
-        self.edge_tri[(c, a)] = tid
-        if c != _GHOST:
-            self.last_finite = tid
-        return tid
-
-    def remove(self, tid: int):
-        a, b, c = self.tris.pop(tid)
-        for e in ((a, b), (b, c), (c, a)):
-            if self.edge_tri.get(e) == tid:
-                del self.edge_tri[e]
-
-    def is_bad(self, tid: int, p: Point2) -> bool:
-        a, b, c = self.tris[tid]
-        pts = self.ps
-        if c == _GHOST:
-            s = orient2d(pts[a], pts[b], p)
-            if s is Sign.POSITIVE:
-                return True
-            if s is Sign.ZERO:
-                return _between_collinear(pts[a], pts[b], p)
-            return False
-        return incircle(pts[a], pts[b], pts[c], p) is Sign.POSITIVE
-
-    def locate_bad(self, p: Point2, rng: random.Random) -> int:
-        """Walk toward p from the last insertion; fall back to a scan."""
-        cur = self.last_finite
-        if cur is None or cur not in self.tris:
-            cur = next(iter(self.tris))
-        pts = self.ps
-        for _ in range(4 * len(self.tris) + 16):
-            tri = self.tris.get(cur)
-            if tri is None:
-                break
-            a, b, c = tri
-            if c == _GHOST:
-                if self.is_bad(cur, p):
-                    return cur
-                break  # degenerate visibility; use the scan
-            verts = (a, b, c)
-            start = rng.randrange(3)
-            moved = False
-            for k in range(3):
-                u = verts[(start + k) % 3]
-                v = verts[(start + k + 1) % 3]
-                if orient2d(pts[u], pts[v], p) is Sign.NEGATIVE:
-                    cur = self.edge_tri[(v, u)]
-                    moved = True
-                    break
-            if not moved:
-                return cur  # p inside or on the closed triangle
-        for tid in self.tris:
-            if self.is_bad(tid, p):
-                return tid
-        raise GeometryError("no triangle found for insertion (duplicate point?)")
-
-    def insert(self, idx: int, rng: random.Random):
-        p = self.ps[idx]
-        seed_tid = self.locate_bad(p, rng)
-        cavity = {seed_tid}
-        stack = [seed_tid]
-        while stack:
-            tid = stack.pop()
-            a, b, c = self.tris[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                nb = self.edge_tri[(v, u)]
-                if nb not in cavity and self.is_bad(nb, p):
-                    cavity.add(nb)
-                    stack.append(nb)
-        boundary = []
-        for tid in cavity:
-            a, b, c = self.tris[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if self.edge_tri[(v, u)] not in cavity:
-                    boundary.append((u, v))
-        for tid in cavity:
-            self.remove(tid)
-        for u, v in boundary:
-            self.add(u, v, idx)
-
-
 def delaunay(ps: PointSet) -> Triangulation:
-    """Delaunay triangulation via randomized incremental insertion.
+    """Delaunay triangulation, exactly valid under the incircle predicate.
 
-    Exactly valid under the incircle predicate; cocircular ties are broken
-    to the lexicographically smallest set of index triples.  The insertion
-    order is a shuffle seeded from the point coordinates, so the result is
-    a pure function of the input.
+    Qhull's triangles (``scipy.spatial.Delaunay``) seed one exact Lawson
+    legalisation.  When Qhull fails, leaves a point out, or returns a flat
+    triangle or triangles that do not tile the convex hull, an x-sweep
+    triangulation built with exact orientations seeds it instead.  Exactly
+    cocircular groups are re-triangulated to the lexicographically smallest
+    set of index triples, so the result is a pure function of the points.
     """
-    n = len(ps)
-    if n < 3:
+    if len(ps) < 3:
         raise GeometryError("need at least 3 points")
-    rng = random.Random(_shuffle_seed(ps))
-    order = list(range(n))
-    rng.shuffle(order)
+    tris = _qhull_triangles(ps)
+    mesh = None if tris is None else _half_edges(ps, tris)
+    if mesh is None:
+        mesh = _half_edges(ps, _sweep_triangulation(ps))
+    opp, suspects = mesh
+    ties = _legalize(ps, opp, suspects)
+    return Triangulation.from_triples(_break_cocircular_ties(opp, ties))
 
-    third = None
-    for k in range(2, n):
-        if orient2d(ps[order[0]], ps[order[1]], ps[order[k]]) is not Sign.ZERO:
-            third = k
-            break
-    if third is None:
+
+def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
+    """Signs a float filter of ``geom`` certifies over index arrays, else 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, bound = predicate_float(*(xy for i in vertices for xy in coords[i].T))
+        return np.where(np.abs(det) > bound, np.sign(det), 0.0).astype(np.int8)
+
+
+def _orientations(ps: PointSet, tris: np.ndarray) -> np.ndarray:
+    """orient2d of each row: the float filter, then the exact predicate."""
+    signs = _filter_signs(_orient2d_float, ps.coords, *tris.T)
+    pts = ps.points
+    for k in np.flatnonzero(signs == 0).tolist():
+        a, b, c = tris[k].tolist()
+        signs[k] = orient2d(pts[a], pts[b], pts[c])
+    return signs
+
+
+def _qhull_triangles(ps: PointSet) -> np.ndarray | None:
+    """Qhull's triangles turned ccw; None on a Qhull error or a flat triangle."""
+    from scipy.spatial import Delaunay, QhullError
+
+    try:
+        tris = Delaunay(ps.coords).simplices.astype(np.int64)
+    except QhullError:
+        return None
+    signs = _orientations(ps, tris)
+    if (signs == 0).any():
+        return None
+    tris[signs < 0] = tris[signs < 0][:, ::-1]
+    return tris
+
+
+def _sweep_triangulation(ps: PointSet) -> np.ndarray:
+    """Some triangulation of the hull: x-sweep with two hull chains, ccw."""
+    pts = ps.points
+    order = sorted(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
+    tris = []
+    lower = [order[0]]
+    upper = [order[0]]
+    for idx in order[1:]:
+        p = pts[idx]
+        while len(lower) >= 2 and orient2d(pts[lower[-2]], pts[lower[-1]], p) < 0:
+            tris.append((lower[-2], idx, lower[-1]))
+            lower.pop()
+        while len(upper) >= 2 and orient2d(pts[upper[-2]], pts[upper[-1]], p) > 0:
+            tris.append((upper[-2], upper[-1], idx))
+            upper.pop()
+        lower.append(idx)
+        upper.append(idx)
+    if not tris:
         raise AllCollinearError("all points are collinear")
-    order[2], order[third] = order[third], order[2]
-
-    i0, i1, i2 = order[0], order[1], order[2]
-    if orient2d(ps[i0], ps[i1], ps[i2]) is Sign.NEGATIVE:
-        i1, i2 = i2, i1
-    mesh = _Mesh(ps)
-    mesh.add(i0, i1, i2)
-    mesh.add(i1, i0, _GHOST)
-    mesh.add(i2, i1, _GHOST)
-    mesh.add(i0, i2, _GHOST)
-
-    for idx in order[3:]:
-        mesh.insert(idx, rng)
-
-    finite = [t for t in mesh.tris.values() if t[2] != _GHOST]
-    finite = _break_cocircular_ties(ps, finite)
-    return Triangulation.from_triples(finite)
+    return np.array(tris, dtype=np.int64)
 
 
-def _break_cocircular_ties(ps: PointSet, tris: list) -> list:
+def _half_edges(ps: PointSet, tris: np.ndarray):
+    """Half-edge map of ccw triangles, and the edges the incircle filter flags.
+
+    ``opp[(u, v)]`` is the third vertex of the triangle left of u->v.  The
+    flagged edges are the interior ones the float filter of ``geom.incircle``
+    cannot certify as legal.  Returns None unless the triangles tile the
+    convex hull: every point is used, no directed edge repeats, and the
+    unpaired edges form one convex ccw cycle.  Then each point off the edges
+    lies in as many triangles as the cycle winds around it: one inside the
+    hull, zero outside.
+    """
+    if np.bincount(tris.ravel(), minlength=len(ps)).min() == 0:
+        return None
+    u = tris.ravel()
+    v = tris[:, [1, 2, 0]].ravel()
+    w = tris[:, [2, 0, 1]].ravel()
+    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    if len(opp) != len(u):
+        return None
+    x = np.array([opp.get((b, a), -1) for a, b in opp])
+    hull = x < 0
+    if not _is_convex_cycle(ps, u[hull].tolist(), v[hull].tolist()):
+        return None
+    inner = np.flatnonzero(~hull & (u < v))
+    quads = (u[inner], v[inner], w[inner], x[inner])
+    flagged = inner[_filter_signs(_incircle_float, ps.coords, *quads) >= 0]
+    return opp, list(zip(u[flagged].tolist(), v[flagged].tolist()))
+
+
+def _is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
+    """Whether the edges tails[k] -> heads[k] form one convex ccw polygon.
+
+    One cycle through every edge that never turns right, and whose vertices
+    rise once and fall once in (x, y) order from the smallest: a closed
+    polygon like that winds once around its convex interior.
+    """
+    succ = dict(zip(tails, heads))
+    if len(succ) != len(tails) or set(heads) != set(tails):
+        return False
+    pts = ps.points
+    cycle = [min(tails, key=lambda i: (pts[i].x, pts[i].y))]
+    while succ[cycle[-1]] != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    xy = [(pts[i].x, pts[i].y) for i in cycle]
+    rises = [p < q for p, q in zip(xy, xy[1:])]
+    if len(cycle) != len(tails) or rises != sorted(rises, reverse=True):
+        return False
+    ring = np.array(cycle, dtype=np.int64)
+    turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
+    return bool((_orientations(ps, turns) >= 0).all())
+
+
+def _legalize(ps: PointSet, opp: dict, suspects: list) -> set:
+    """Lawson flips with the exact incircle until every edge is legal.
+
+    Checks the suspect edges and every edge a flip touches.  Returns the
+    edges, as (min, max) pairs, whose two triangles are exactly cocircular.
+    """
+    pts = ps.points
+    ties = set()
+    stack = list(suspects)
+    while stack:
+        u, v = stack.pop()
+        w = opp.get((u, v))
+        x = opp.get((v, u))
+        if w is None or x is None:
+            continue  # flipped away since it was pushed
+        edge = (u, v) if u < v else (v, u)
+        ties.discard(edge)
+        s = incircle(pts[u], pts[v], pts[w], pts[x])
+        if s is Sign.ZERO:
+            ties.add(edge)
+        elif s is Sign.POSITIVE:
+            # Triangles (u, v, w) and (v, u, x) become (u, x, w) and (x, v, w).
+            del opp[(u, v)], opp[(v, u)]
+            opp[(u, x)], opp[(x, w)], opp[(w, u)] = w, u, x
+            opp[(x, v)], opp[(v, w)], opp[(w, x)] = w, x, v
+            stack += ((u, x), (x, v), (v, w), (w, u))
+    return ties
+
+
+def _break_cocircular_ties(opp: dict, ties: set) -> list:
     """Re-triangulate exactly cocircular groups lexicographically smallest."""
-    tris = [tuple(t) for t in tris]
-    edge_tri: dict[tuple[int, int], int] = {}
-    for i, (a, b, c) in enumerate(tris):
-        edge_tri[(a, b)] = i
-        edge_tri[(b, c)] = i
-        edge_tri[(c, a)] = i
+    tris = [(u, v, w) for (u, v), w in opp.items() if u < v and u < w]
+    if not ties:
+        return tris
 
-    parent = list(range(len(tris)))
+    def tri(u, v):
+        return _canonical_triple((u, v, opp[(u, v)]))
+
+    parent = {t: t for t in tris}
 
     def find(x):
         while parent[x] != x:
@@ -381,42 +377,28 @@ def _break_cocircular_ties(ps: PointSet, tris: list) -> list:
             x = parent[x]
         return x
 
-    tied = False
-    for i, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            j = edge_tri.get((v, u))
-            if j is None or j <= i:
-                continue
-            w = next(x for x in tris[j] if x not in (u, v))
-            if incircle(ps[a], ps[b], ps[c], ps[w]) is Sign.ZERO:
-                parent[find(i)] = find(j)
-                tied = True
-    if not tied:
-        return tris
+    for u, v in ties:
+        parent[find(tri(u, v))] = find(tri(v, u))
 
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(tris)):
-        clusters.setdefault(find(i), []).append(i)
+    clusters: dict[tuple, list] = {}
+    for t in tris:
+        clusters.setdefault(find(t), []).append(t)
 
-    out = [t for i, t in enumerate(tris) if len(clusters[find(i)]) == 1]
+    out = []
     for members in clusters.values():
         if len(members) == 1:
+            out.extend(members)
             continue
         member_set = set(members)
         # Boundary cycle of the cluster, ccw because triangles are ccw.
         succ = {}
-        for i in members:
-            a, b, c = tris[i]
+        for a, b, c in members:
             for u, v in ((a, b), (b, c), (c, a)):
-                j = edge_tri.get((v, u))
-                if j is None or j not in member_set:
+                if (v, u) not in opp or tri(v, u) not in member_set:
                     succ[u] = v
-        start = min(succ)
-        cycle = [start]
-        cur = succ[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = succ[cur]
+        cycle = [min(succ)]
+        while succ[cycle[-1]] != cycle[0]:
+            cycle.append(succ[cycle[-1]])
         out.extend(_lexmin_polygon_triangulation(cycle))
     return out
 
@@ -538,27 +520,31 @@ def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> Valid
     threshold = -band if eps == 0.0 else eps
     violations = []
     block = 512
-    npts = len(ps)
     for lo in range(0, len(tris), block):
         hi = min(lo + block, len(tris))
-        d = np.sqrt(
-            ((coords[None, :, :] - centers[lo:hi, None, :]) ** 2).sum(axis=2)
-        )
-        margins = (radii[lo:hi, None] - d) / radii[lo:hi, None]
+        # margins = (r - |p - center|) / r, computed in place.
+        diff = coords[None, :, :] - centers[lo:hi, None, :]
+        np.square(diff, out=diff)
+        margins = diff.sum(axis=2)
+        del diff
+        np.sqrt(margins, out=margins)
+        np.subtract(radii[lo:hi, None], margins, out=margins)
+        np.divide(margins, radii[lo:hi, None], out=margins)
         for k in range(3):
             margins[np.arange(hi - lo), tris[lo:hi, k]] = -np.inf
-        cand_t, cand_p = np.where(margins > threshold)
-        for ti, pi in zip(cand_t.tolist(), cand_p.tolist()):
+        hits = margins > threshold
+        for ti in np.flatnonzero(hits.any(axis=1)).tolist():
             tri_idx = lo + ti
-            margin = float(margins[ti, pi])
-            if eps == 0.0:
-                a, b, c = normalized[tri_idx]
-                s = incircle(ps[a], ps[b], ps[c], ps[pi])
-                if s is not Sign.POSITIVE:
-                    continue
-                if margin <= 0.0:
-                    margin = 0.0
-            violations.append((tri_idx, int(pi), margin))
+            for pi in np.flatnonzero(hits[ti]).tolist():
+                margin = float(margins[ti, pi])
+                if eps == 0.0:
+                    a, b, c = normalized[tri_idx]
+                    s = incircle(ps[a], ps[b], ps[c], ps[pi])
+                    if s is not Sign.POSITIVE:
+                        continue
+                    if margin <= 0.0:
+                        margin = 0.0
+                violations.append((tri_idx, pi, margin))
     violations.sort()
     return ValidityReport(valid=not violations, violations=tuple(violations))
 
@@ -623,6 +609,7 @@ def stability_check(
 
 
 def _mix_seed(*parts: int) -> int:
+    """A 32-bit seed mixed from integers by numpy's SeedSequence."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 

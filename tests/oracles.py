@@ -3,17 +3,24 @@
 Deliberately share no code with the package: rational-arithmetic predicates,
 a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
 enumeration for shortest paths, and the original dense all-pairs dilation
-reduction.
+reduction.  The one exception is the original Bowyer-Watson Delaunay
+builder, which runs on the package's exact predicates.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+
+from delaunay_dilation.geom import GeometryError, Point2, Sign, incircle, orient2d
+from delaunay_dilation.triangulation import AllCollinearError, PointSet, Triangulation
 
 
 def orient_frac(a, b, c) -> int:
@@ -174,3 +181,255 @@ def dense_max_dilation(pts, edges, include_pairs=False):
     if include_pairs:
         pairs = tuple((int(i), int(j), float(r)) for i, j, r in zip(iu, ju, ratios))
     return (int(iu[best]), int(ju[best])), pairs
+
+
+# --------------------------------------------------------------------------
+# Reference Delaunay builder: the original randomized incremental
+# Bowyer-Watson with a ghost rim.  Unlike the oracles above it runs on the
+# package's exact predicates (checked against the rational ones in
+# test_geom.py), so it is fast enough for thousands of points, and it breaks
+# cocircular ties the same way, so its output must equal ``delaunay`` triple
+# for triple.
+# --------------------------------------------------------------------------
+
+GHOST = -1
+
+
+def _shuffle_seed(ps: PointSet) -> int:
+    digest = hashlib.sha256()
+    for p in ps:
+        digest.update(struct.pack("<dd", p.x, p.y))
+    return int.from_bytes(digest.digest()[:8], "little")
+
+
+def _between_collinear(a: Point2, b: Point2, p: Point2) -> bool:
+    """Strict betweenness for points already known collinear."""
+    if a.x != b.x:
+        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
+        return lo < p.x < hi
+    lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+    return lo < p.y < hi
+
+
+class _Mesh:
+    """Mutable triangle soup with directed-edge adjacency and a ghost rim."""
+
+    def __init__(self, ps: PointSet):
+        self.ps = ps
+        self.tris: dict[int, tuple[int, int, int]] = {}
+        self.edge_tri: dict[tuple[int, int], int] = {}
+        self.next_id = 0
+        self.last_finite = None
+
+    def add(self, a: int, b: int, c: int) -> int:
+        # Keep the ghost in the last slot, preserving cyclic order.
+        if a == GHOST:
+            a, b, c = b, c, a
+        elif b == GHOST:
+            a, b, c = c, a, b
+        tid = self.next_id
+        self.next_id += 1
+        self.tris[tid] = (a, b, c)
+        self.edge_tri[(a, b)] = tid
+        self.edge_tri[(b, c)] = tid
+        self.edge_tri[(c, a)] = tid
+        if c != GHOST:
+            self.last_finite = tid
+        return tid
+
+    def remove(self, tid: int):
+        a, b, c = self.tris.pop(tid)
+        for e in ((a, b), (b, c), (c, a)):
+            if self.edge_tri.get(e) == tid:
+                del self.edge_tri[e]
+
+    def is_bad(self, tid: int, p: Point2) -> bool:
+        a, b, c = self.tris[tid]
+        pts = self.ps
+        if c == GHOST:
+            s = orient2d(pts[a], pts[b], p)
+            if s is Sign.POSITIVE:
+                return True
+            if s is Sign.ZERO:
+                return _between_collinear(pts[a], pts[b], p)
+            return False
+        return incircle(pts[a], pts[b], pts[c], p) is Sign.POSITIVE
+
+    def locate_bad(self, p: Point2, rng: random.Random) -> int:
+        """Walk toward p from the last insertion; fall back to a scan."""
+        cur = self.last_finite
+        if cur is None or cur not in self.tris:
+            cur = next(iter(self.tris))
+        pts = self.ps
+        for _ in range(4 * len(self.tris) + 16):
+            tri = self.tris.get(cur)
+            if tri is None:
+                break
+            a, b, c = tri
+            if c == GHOST:
+                if self.is_bad(cur, p):
+                    return cur
+                break  # degenerate visibility; use the scan
+            verts = (a, b, c)
+            start = rng.randrange(3)
+            moved = False
+            for k in range(3):
+                u = verts[(start + k) % 3]
+                v = verts[(start + k + 1) % 3]
+                if orient2d(pts[u], pts[v], p) is Sign.NEGATIVE:
+                    cur = self.edge_tri[(v, u)]
+                    moved = True
+                    break
+            if not moved:
+                return cur  # p inside or on the closed triangle
+        for tid in self.tris:
+            if self.is_bad(tid, p):
+                return tid
+        raise GeometryError("no triangle found for insertion (duplicate point?)")
+
+    def insert(self, idx: int, rng: random.Random):
+        p = self.ps[idx]
+        seed_tid = self.locate_bad(p, rng)
+        cavity = {seed_tid}
+        stack = [seed_tid]
+        while stack:
+            tid = stack.pop()
+            a, b, c = self.tris[tid]
+            for u, v in ((a, b), (b, c), (c, a)):
+                nb = self.edge_tri[(v, u)]
+                if nb not in cavity and self.is_bad(nb, p):
+                    cavity.add(nb)
+                    stack.append(nb)
+        boundary = []
+        for tid in cavity:
+            a, b, c = self.tris[tid]
+            for u, v in ((a, b), (b, c), (c, a)):
+                if self.edge_tri[(v, u)] not in cavity:
+                    boundary.append((u, v))
+        for tid in cavity:
+            self.remove(tid)
+        for u, v in boundary:
+            self.add(u, v, idx)
+
+
+def bowyer_watson_delaunay(ps: PointSet) -> Triangulation:
+    """Delaunay triangulation via randomized incremental insertion.
+
+    Exactly valid under the incircle predicate; cocircular ties are broken
+    to the lexicographically smallest set of index triples.  The insertion
+    order is a shuffle seeded from the point coordinates, so the result is
+    a pure function of the input.
+    """
+    n = len(ps)
+    if n < 3:
+        raise GeometryError("need at least 3 points")
+    rng = random.Random(_shuffle_seed(ps))
+    order = list(range(n))
+    rng.shuffle(order)
+
+    third = None
+    for k in range(2, n):
+        if orient2d(ps[order[0]], ps[order[1]], ps[order[k]]) is not Sign.ZERO:
+            third = k
+            break
+    if third is None:
+        raise AllCollinearError("all points are collinear")
+    order[2], order[third] = order[third], order[2]
+
+    i0, i1, i2 = order[0], order[1], order[2]
+    if orient2d(ps[i0], ps[i1], ps[i2]) is Sign.NEGATIVE:
+        i1, i2 = i2, i1
+    mesh = _Mesh(ps)
+    mesh.add(i0, i1, i2)
+    mesh.add(i1, i0, GHOST)
+    mesh.add(i2, i1, GHOST)
+    mesh.add(i0, i2, GHOST)
+
+    for idx in order[3:]:
+        mesh.insert(idx, rng)
+
+    finite = [t for t in mesh.tris.values() if t[2] != GHOST]
+    finite = _break_cocircular_ties(ps, finite)
+    return Triangulation.from_triples(finite)
+
+
+def _break_cocircular_ties(ps: PointSet, tris: list) -> list:
+    """Re-triangulate exactly cocircular groups lexicographically smallest."""
+    tris = [tuple(t) for t in tris]
+    edge_tri: dict[tuple[int, int], int] = {}
+    for i, (a, b, c) in enumerate(tris):
+        edge_tri[(a, b)] = i
+        edge_tri[(b, c)] = i
+        edge_tri[(c, a)] = i
+
+    parent = list(range(len(tris)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tied = False
+    for i, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            j = edge_tri.get((v, u))
+            if j is None or j <= i:
+                continue
+            w = next(x for x in tris[j] if x not in (u, v))
+            if incircle(ps[a], ps[b], ps[c], ps[w]) is Sign.ZERO:
+                parent[find(i)] = find(j)
+                tied = True
+    if not tied:
+        return tris
+
+    clusters: dict[int, list[int]] = {}
+    for i in range(len(tris)):
+        clusters.setdefault(find(i), []).append(i)
+
+    out = [t for i, t in enumerate(tris) if len(clusters[find(i)]) == 1]
+    for members in clusters.values():
+        if len(members) == 1:
+            continue
+        member_set = set(members)
+        # Boundary cycle of the cluster, ccw because triangles are ccw.
+        succ = {}
+        for i in members:
+            a, b, c = tris[i]
+            for u, v in ((a, b), (b, c), (c, a)):
+                j = edge_tri.get((v, u))
+                if j is None or j not in member_set:
+                    succ[u] = v
+        start = min(succ)
+        cycle = [start]
+        cur = succ[start]
+        while cur != start:
+            cycle.append(cur)
+            cur = succ[cur]
+        out.extend(_lexmin_polygon_triangulation(cycle))
+    return out
+
+
+def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
+    """Lexicographically smallest triangulation of a convex polygon.
+
+    Greedy: the smallest index triple is always realizable in a convex
+    polygon; commit it and recurse on the three remaining chains.
+    """
+    out = []
+    stack = [cycle]
+    while stack:
+        poly = stack.pop()
+        k = len(poly)
+        if k < 3:
+            continue
+        if k == 3:
+            out.append(tuple(poly))
+            continue
+        pos = sorted(sorted(range(k), key=lambda i: poly[i])[:3])
+        i, j, l = pos
+        out.append((poly[i], poly[j], poly[l]))
+        stack.append(poly[i : j + 1])
+        stack.append(poly[j : l + 1])
+        stack.append(poly[l:] + poly[: i + 1])
+    return out
