@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 __all__ = [
     "CIRCUMCIRCLE_RTOL",
     "TANGENT_RTOL",
@@ -26,6 +28,7 @@ __all__ = [
     "dist",
     "orient2d",
     "incircle",
+    "ExactIncircle",
     "circumcircle",
     "tangent_points",
 ]
@@ -39,6 +42,13 @@ TANGENT_RTOL = 1e-10
 _EPS = math.ulp(1.0) / 2.0
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# The relative bounds assume that no product underflows.  A product that does
+# is off by up to 2**-1075 absolutely.  orient2d's determinant sums two such
+# errors; incircle's sums at most 21, each scaled by at most the largest lift
+# or by 1.  These absolute terms exceed those sums several times over, so an
+# underflowed determinant is never taken as certain.
+_ORIENT_UNDERFLOW = 2.0**-1070
+_INCIRCLE_UNDERFLOW = 2.0**-1068  # per unit of 1 + alift + blift + clift
 
 
 class GeometryError(ValueError):
@@ -117,7 +127,8 @@ def _orient2d_float(ax, ay, bx, by, cx, cy):
     """(det, bound) on floats or numpy arrays; det's sign is sure if |det| > bound."""
     detleft = (ax - cx) * (by - cy)
     detright = (ay - cy) * (bx - cx)
-    return detleft - detright, _ORIENT_BOUND * (abs(detleft) + abs(detright))
+    bound = _ORIENT_BOUND * (abs(detleft) + abs(detright)) + _ORIENT_UNDERFLOW
+    return detleft - detright, bound
 
 
 def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> Sign:
@@ -172,7 +183,8 @@ def _incircle_float(ax, ay, bx, by, cx, cy, dx, dy):
         + blift * (abs(cdxady) + abs(adxcdy))
         + clift * (abs(adxbdy) + abs(bdxady))
     )
-    return det, _INCIRCLE_BOUND * permanent
+    underflow = _INCIRCLE_UNDERFLOW * (1.0 + alift + blift + clift)
+    return det, _INCIRCLE_BOUND * permanent + underflow
 
 
 def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
@@ -191,6 +203,41 @@ def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
     return _sign(det)
+
+
+class ExactIncircle:
+    """Exact incircle signs for many (triangle, point) pairs of one point set.
+
+    The coordinates are scaled to integers by one common power of two, which
+    is exact, and each point is lifted to (X, Y, L = X² + Y²) once.  The
+    in-circle determinant of a ccw triangle abc and a point d is the 4×4
+    determinant with rows (X, Y, L, 1) of a, b, c, d.  Expanding it along
+    d's row gives four cofactors per triangle, so a pair then costs
+    k0·X + k1·Y + k2·L + k3 in Python integers.
+    """
+
+    def __init__(self, coords, tris):
+        """coords: (n, 2) floats; tris: (T, 3) indices of ccw triangles."""
+        ints = np.array(_as_scaled_ints(coords.ravel().tolist()), dtype=object)
+        x, y = ints[0::2], ints[1::2]
+        self._lifted = (x, y, x * x + y * y)
+        (xa, xb, xc), (ya, yb, yc), (la, lb, lc) = (v[tris.T] for v in self._lifted)
+        ab = xa * yb - ya * xb
+        bc = xb * yc - yb * xc
+        ca = xc * ya - yc * xa
+        self._cofactors = (
+            -(ya * (lb - lc) + yb * (lc - la) + yc * (la - lb)),
+            xa * (lb - lc) + xb * (lc - la) + xc * (la - lb),
+            -(ab + bc + ca),
+            la * bc + lb * ca + lc * ab,
+        )
+
+    def signs(self, rows, points):
+        """int8 signs of incircle(tris[rows[k]], points[k]); POSITIVE = inside."""
+        x, y, lift = (v[points] for v in self._lifted)
+        k0, k1, k2, k3 = (k[rows] for k in self._cofactors)
+        det = k0 * x + k1 * y + k2 * lift + k3
+        return (det > 0).astype(np.int8) - (det < 0)
 
 
 def circumcircle(a: Point2, b: Point2, c: Point2) -> Circle:

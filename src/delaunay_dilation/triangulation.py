@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .geom import (
+    CollinearPointsError,
+    ExactIncircle,
     GeometryError,
     Point2,
     Sign,
@@ -226,9 +228,9 @@ def delaunay(ps: PointSet) -> Triangulation:
 
 
 def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
-    """Signs a float filter of ``geom`` certifies over index arrays, else 0."""
+    """Signs a float filter of ``geom`` certifies over broadcast index arrays, else 0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        det, bound = predicate_float(*(xy for i in vertices for xy in coords[i].T))
+        det, bound = predicate_float(*(coords[i, k] for i in vertices for k in (0, 1)))
         return np.where(np.abs(det) > bound, np.sign(det), 0.0).astype(np.int8)
 
 
@@ -292,13 +294,9 @@ def _half_edges(ps: PointSet, tris: np.ndarray):
     """
     if np.bincount(tris.ravel(), minlength=len(ps)).min() == 0:
         return None
-    u = tris.ravel()
-    v = tris[:, [1, 2, 0]].ravel()
-    w = tris[:, [2, 0, 1]].ravel()
-    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    opp, (u, v, w, x) = _edge_quads(tris)
     if len(opp) != len(u):
         return None
-    x = np.array([opp.get((b, a), -1) for a, b in opp])
     hull = x < 0
     if not _is_convex_cycle(ps, u[hull].tolist(), v[hull].tolist()):
         return None
@@ -306,6 +304,20 @@ def _half_edges(ps: PointSet, tris: np.ndarray):
     quads = (u[inner], v[inner], w[inner], x[inner])
     flagged = inner[_filter_signs(_incircle_float, ps.coords, *quads) >= 0]
     return opp, list(zip(u[flagged].tolist(), v[flagged].tolist()))
+
+
+def _edge_quads(tris: np.ndarray):
+    """The map opp[(u, v)] = w of ccw triangles, and its half-edges as arrays.
+
+    Each half-edge u->v comes with w, the third vertex of its own triangle,
+    and x, that of the triangle across it (-1 on the hull).
+    """
+    u = tris.ravel()
+    v = tris[:, [1, 2, 0]].ravel()
+    w = tris[:, [2, 0, 1]].ravel()
+    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    x = np.array([opp.get(e, -1) for e in zip(v.tolist(), u.tolist())], dtype=u.dtype)
+    return opp, (u, v, w, x)
 
 
 def _is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
@@ -501,51 +513,70 @@ def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
     return centers, radii
 
 
+# (triangle, point) pairs per block of the validity scan: the float filter's
+# temporaries and a block's exact decisions then take about a megabyte each.
+_PAIR_BLOCK = 2**13
+
+
+def _margins(coords, centers, radii, tri_idx, pt_idx) -> np.ndarray:
+    """(r - |p - center|) / r for the broadcast index arrays, in place."""
+    r = radii[tri_idx]
+    m = coords[pt_idx, 0] - centers[tri_idx, 0]
+    dy = coords[pt_idx, 1] - centers[tri_idx, 1]
+    m *= m
+    dy *= dy
+    m += dy
+    del dy
+    np.sqrt(m, out=m)
+    np.subtract(r, m, out=m)
+    m /= r
+    return m
+
+
 def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> ValidityReport:
     """Check the empty-circumcircle property.
 
     A violation is a point strictly inside some circumcircle by relative
-    margin greater than eps.  With eps=0 the decision falls back to the
-    exact predicate, so boundary cocircularity is never a violation.
+    margin greater than eps.  With eps=0 every (triangle, point) pair is
+    decided by the exact incircle predicate: the float filter of
+    ``geom.incircle`` settles most pairs and ``geom.ExactIncircle`` the rest,
+    so boundary cocircularity is never a violation.  The margin reported with
+    an eps=0 violation is the float margin if positive, else 0.0.  Pairs are
+    scanned in blocks of about 2**13, so memory does not grow with T·n.
     Structurally malformed triangulations raise, they do not report invalid.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    normalized = _structural_check(ps, t)
+    tris = np.array(_structural_check(ps, t), dtype=np.intp)
     coords = ps.coords
-    tris = np.array(normalized, dtype=np.intp)
-    centers, radii = _circumcircles_array(coords, tris)
-
-    band = 1e-9
-    threshold = -band if eps == 0.0 else eps
+    points = np.arange(len(ps))[None, :]
+    # One int object per triangle, shared by all of its violations.
+    tri_ids = np.arange(len(tris)).astype(object)
+    block = max(1, _PAIR_BLOCK // len(ps))
+    exact = None
     violations = []
-    block = 512
-    for lo in range(0, len(tris), block):
-        hi = min(lo + block, len(tris))
-        # margins = (r - |p - center|) / r, computed in place.
-        diff = coords[None, :, :] - centers[lo:hi, None, :]
-        np.square(diff, out=diff)
-        margins = diff.sum(axis=2)
-        del diff
-        np.sqrt(margins, out=margins)
-        np.subtract(radii[lo:hi, None], margins, out=margins)
-        np.divide(margins, radii[lo:hi, None], out=margins)
-        for k in range(3):
-            margins[np.arange(hi - lo), tris[lo:hi, k]] = -np.inf
-        hits = margins > threshold
-        for ti in np.flatnonzero(hits.any(axis=1)).tolist():
-            tri_idx = lo + ti
-            for pi in np.flatnonzero(hits[ti]).tolist():
-                margin = float(margins[ti, pi])
-                if eps == 0.0:
-                    a, b, c = normalized[tri_idx]
-                    s = incircle(ps[a], ps[b], ps[c], ps[pi])
-                    if s is not Sign.POSITIVE:
-                        continue
-                    if margin <= 0.0:
-                        margin = 0.0
-                violations.append((tri_idx, pi, margin))
-    violations.sort()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        centers, radii = _circumcircles_array(coords, tris)
+        for lo in range(0, len(tris), block):
+            own = tris[lo : lo + block]
+            rows = np.arange(len(own))[:, None]
+            if eps == 0.0:
+                signs = _filter_signs(_incircle_float, coords, *np.hsplit(own, 3), points)
+                signs[rows, own] = -1  # a triangle's own vertices lie on its circle
+                unsure = np.nonzero(signs == 0)
+                if unsure[0].size:
+                    if exact is None:
+                        exact = ExactIncircle(coords, tris)
+                    signs[unsure] = exact.signs(lo + unsure[0], unsure[1])
+                ti, pi = np.nonzero(signs > 0)
+                m = _margins(coords, centers, radii, lo + ti, pi)
+                margins = np.where(m > 0.0, m, 0.0)  # NaN becomes 0.0 too
+            else:
+                m = _margins(coords, centers, radii, lo + rows, points)
+                m[rows, own] = -np.inf
+                ti, pi = np.nonzero(m > eps)
+                margins = m[ti, pi]
+            violations += zip(tri_ids[lo + ti].tolist(), pi.tolist(), margins.tolist())
     return ValidityReport(valid=not violations, violations=tuple(violations))
 
 
@@ -570,22 +601,25 @@ def perturb(ps: PointSet, delta: float, seed: int) -> PointSet:
 
 
 def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
-    edge_tri: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for tri in t.triangles:
-        a, b, c = tri
-        if orient2d(ps[a], ps[b], ps[c]) is Sign.NEGATIVE:
-            a, b, c = a, c, b
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_tri[(u, v)] = (a, b, c)
-    for (u, v), tri in edge_tri.items():
-        other = edge_tri.get((v, u))
-        if other is None or (u, v) < (v, u):
-            continue
-        w = next(x for x in other if x not in (u, v))
-        a, b, c = tri
-        if incircle(ps[a], ps[b], ps[c], ps[w]) is Sign.ZERO:
-            return True
-    return False
+    """Whether the two triangles at some interior edge are exactly cocircular.
+
+    The float filter of ``geom.incircle`` clears the edges it can; the rest
+    are decided by ``geom.ExactIncircle``.
+    """
+    tris = np.array(t.triangles, dtype=np.int64).reshape(-1, 3)
+    signs = _orientations(ps, tris)
+    if (signs == 0).any():
+        raise CollinearPointsError("incircle needs a non-degenerate triangle")
+    tris[signs < 0] = tris[signs < 0][:, ::-1]
+    _, (u, v, w, x) = _edge_quads(tris)
+    inner = np.flatnonzero((x >= 0) & (u < v))
+    quads = (u[inner], v[inner], w[inner], x[inner])
+    unsure = _filter_signs(_incircle_float, ps.coords, *quads) == 0
+    if not unsure.any():
+        return False
+    u, v, w, x = (a[unsure] for a in quads)
+    exact = ExactIncircle(ps.coords, np.stack([u, v, w], axis=1))
+    return bool((exact.signs(np.arange(len(x)), x) == 0).any())
 
 
 def stability_check(

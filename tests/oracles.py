@@ -3,8 +3,9 @@
 Deliberately share no code with the package: rational-arithmetic predicates,
 a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
 enumeration for shortest paths, and the original dense all-pairs dilation
-reduction.  The one exception is the original Bowyer-Watson Delaunay
-builder, which runs on the package's exact predicates.
+reduction.  Two exceptions run on the package's exact predicates: the
+original Bowyer-Watson Delaunay builder, and the original validity check,
+which takes its eps=0 candidates from a float-margin band.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from delaunay_dilation.geom import GeometryError, Point2, Sign, incircle, orient2d
-from delaunay_dilation.triangulation import AllCollinearError, PointSet, Triangulation
+from delaunay_dilation.triangulation import (
+    AllCollinearError,
+    PointSet,
+    Triangulation,
+    ValidityReport,
+    _structural_check,
+)
 
 
 def orient_frac(a, b, c) -> int:
@@ -433,3 +440,70 @@ def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]
         stack.append(poly[j : l + 1])
         stack.append(poly[l:] + poly[: i + 1])
     return out
+
+
+# --------------------------------------------------------------------------
+# The original validity check: float margins, with the exact incircle
+# applied at eps=0 only to the pairs whose margin exceeds -1e-9.
+# --------------------------------------------------------------------------
+
+def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
+    a = coords[tris[:, 0]]
+    b = coords[tris[:, 1]] - a
+    c = coords[tris[:, 2]] - a
+    den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    b2 = (b * b).sum(axis=1)
+    c2 = (c * c).sum(axis=1)
+    ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
+    uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
+    centers = a + np.stack([ux, uy], axis=1)
+    radii = np.hypot(ux, uy)
+    return centers, radii
+
+
+def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> ValidityReport:
+    """Check the empty-circumcircle property.
+
+    A violation is a point strictly inside some circumcircle by relative
+    margin greater than eps.  With eps=0 the decision falls back to the
+    exact predicate, so boundary cocircularity is never a violation.
+    Structurally malformed triangulations raise, they do not report invalid.
+    """
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    normalized = _structural_check(ps, t)
+    coords = ps.coords
+    tris = np.array(normalized, dtype=np.intp)
+    centers, radii = _circumcircles_array(coords, tris)
+
+    band = 1e-9
+    threshold = -band if eps == 0.0 else eps
+    violations = []
+    block = 512
+    for lo in range(0, len(tris), block):
+        hi = min(lo + block, len(tris))
+        # margins = (r - |p - center|) / r, computed in place.
+        diff = coords[None, :, :] - centers[lo:hi, None, :]
+        np.square(diff, out=diff)
+        margins = diff.sum(axis=2)
+        del diff
+        np.sqrt(margins, out=margins)
+        np.subtract(radii[lo:hi, None], margins, out=margins)
+        np.divide(margins, radii[lo:hi, None], out=margins)
+        for k in range(3):
+            margins[np.arange(hi - lo), tris[lo:hi, k]] = -np.inf
+        hits = margins > threshold
+        for ti in np.flatnonzero(hits.any(axis=1)).tolist():
+            tri_idx = lo + ti
+            for pi in np.flatnonzero(hits[ti]).tolist():
+                margin = float(margins[ti, pi])
+                if eps == 0.0:
+                    a, b, c = normalized[tri_idx]
+                    s = incircle(ps[a], ps[b], ps[c], ps[pi])
+                    if s is not Sign.POSITIVE:
+                        continue
+                    if margin <= 0.0:
+                        margin = 0.0
+                violations.append((tri_idx, pi, margin))
+    violations.sort()
+    return ValidityReport(valid=not violations, violations=tuple(violations))

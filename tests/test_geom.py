@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from delaunay_dilation.geom import (
     Point2,
     Sign,
     TangentPointError,
+    _incircle_float,
     circumcircle,
     dist,
     incircle,
@@ -91,7 +93,7 @@ class TestIncircle:
         assert inside is Sign.POSITIVE
 
 
-def _near_cocircular_cases(count, seed):
+def _near_cocircular_cases(count, seed, scale=1.0):
     """Points on a common circle, coordinates nudged by a few ulp."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -100,8 +102,8 @@ def _near_cocircular_cases(count, seed):
         pts = []
         for _ in range(4):
             ang = rng.uniform(0, 2 * math.pi)
-            x = cx + r * math.cos(ang)
-            y = cy + r * math.sin(ang)
+            x = (cx + r * math.cos(ang)) * scale
+            y = (cy + r * math.sin(ang)) * scale
             for _ in range(rng.randrange(3)):
                 x = math.nextafter(x, rng.choice([-math.inf, math.inf]))
                 y = math.nextafter(y, rng.choice([-math.inf, math.inf]))
@@ -109,9 +111,9 @@ def _near_cocircular_cases(count, seed):
         yield pts
 
 
-def _run_incircle_vs_oracle(count, seed):
+def _run_incircle_vs_oracle(count, seed, scale=1.0):
     checked = 0
-    for pts in _near_cocircular_cases(count, seed):
+    for pts in _near_cocircular_cases(count, seed, scale):
         a, b, c, d = pts
         try:
             expected = incircle_frac(a, b, c, d)
@@ -127,6 +129,28 @@ def _run_incircle_vs_oracle(count, seed):
 
 def test_incircle_exactness_sample():
     _run_incircle_vs_oracle(20_000, seed=99)
+
+
+@pytest.mark.parametrize("scale", [1e-78, 2.0**-500], ids=["1e-78", "2**-500"])
+def test_incircle_exactness_where_products_underflow(scale):
+    """The filters' bounds must not underflow to a false certainty."""
+    _run_incircle_vs_oracle(3000, seed=7, scale=scale)
+    quads = [q for q in _near_cocircular_cases(3000, seed=8, scale=scale) if orient_frac(*q[:3])]
+    quads = [q if orient_frac(*q[:3]) > 0 else [q[0], q[2], q[1], q[3]] for q in quads]
+    det, bound = _incircle_float(*np.array(quads).reshape(len(quads), 8).T)
+    sure = np.abs(det) > bound
+    expected = np.array([incircle_frac(*q) for q in quads])
+    assert (np.sign(det[sure]) == expected[sure]).all()
+
+
+def test_orient2d_exactness_where_products_underflow():
+    rng = random.Random(5)
+    for _ in range(2000):
+        a = (rng.uniform(-1, 1) * 1e-160, rng.uniform(-1, 1) * 1e-160)
+        b = (rng.uniform(-1, 1) * 1e-160, rng.uniform(-1, 1) * 1e-160)
+        t = rng.random()
+        c = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        assert int(orient2d(P(*a), P(*b), P(*c))) == orient_frac(a, b, c)
 
 
 @pytest.mark.slow
