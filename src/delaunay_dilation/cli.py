@@ -26,6 +26,7 @@ from .svg import render_svg
 from .triangulation import (
     PointSet,
     TriangulationStructureError,
+    _structural_check,
     delaunay,
     is_valid_delaunay,
     make_unique_delaunay,
@@ -159,7 +160,7 @@ def _cmd_dilation(args) -> int:
     if args.triangulation:
         tri = _load_triangulation(args.triangulation)
         try:
-            is_valid_delaunay(ps, tri, eps=DEFAULT_VERIFY_EPS)
+            _structural_check(ps, tri)
         except TriangulationStructureError as e:
             raise _UsageError(f"invalid triangulation: {e}") from e
     else:

@@ -243,6 +243,35 @@ def _oriented(pts, a: int, b: int, c: int) -> tuple[int, int, int]:
     return (a, c, b)
 
 
+def _ladder(pts, side_a, side_b):
+    """Zigzag-triangulate between two chains sorted by a shared key.
+
+    side_a and side_b are lists of (index, key); ties take side_a first.
+    Returns the triangles, the last vertex on each side, and the pair of
+    keys reached before the first rung and after each one.
+    """
+    (la, ka), (lb, kb) = side_a[0], side_b[0]
+    tris = []
+    frontiers = [(ka, kb)]
+    ia = ib = 1
+    while ia < len(side_a) or ib < len(side_b):
+        take_a = ib >= len(side_b) or (
+            ia < len(side_a) and side_a[ia][1] <= side_b[ib][1]
+        )
+        if take_a:
+            v, ka = side_a[ia]
+            ia += 1
+            tris.append(_oriented(pts, la, v, lb))
+            la = v
+        else:
+            v, kb = side_b[ib]
+            ib += 1
+            tris.append(_oriented(pts, la, v, lb))
+            lb = v
+        frontiers.append((ka, kb))
+    return tris, (la, lb), frontiers
+
+
 def _funnel(pts, mark, side_a, side_b, terminal=None, check_rungs=False):
     """Zigzag-triangulate a convex chain pair relative to a mark vertex.
 
@@ -254,29 +283,8 @@ def _funnel(pts, mark, side_a, side_b, terminal=None, check_rungs=False):
     """
     if not side_a or not side_b:
         raise GeometryError("funnel needs points on both sides of the mark")
-    tris = []
-    frontiers = []
-
-    la, ka = side_a[0]
-    lb, kb = side_b[0]
-    tris.append(_oriented(pts, mark, la, lb))
-    frontiers.append((ka, kb))
-    ia = ib = 1
-    while ia < len(side_a) or ib < len(side_b):
-        take_a = ib >= len(side_b) or (
-            ia < len(side_a) and side_a[ia][1] <= side_b[ib][1]
-        )
-        if take_a:
-            v, kv = side_a[ia]
-            ia += 1
-            tris.append(_oriented(pts, la, v, lb))
-            la, ka = v, kv
-        else:
-            v, kv = side_b[ib]
-            ib += 1
-            tris.append(_oriented(pts, la, v, lb))
-            lb, kb = v, kv
-        frontiers.append((ka, kb))
+    rungs, (la, lb), frontiers = _ladder(pts, side_a, side_b)
+    tris = [_oriented(pts, mark, side_a[0][0], side_b[0][0])] + rungs
     if terminal is not None:
         tris.append(_oriented(pts, la, terminal, lb))
 
@@ -291,27 +299,6 @@ def _funnel(pts, mark, side_a, side_b, terminal=None, check_rungs=False):
                     f"chord at arc distances ({ka:.6f}, {kb:.6f}) beats the "
                     "boundary; increase the sampling density"
                 )
-    return tris
-
-
-def _strip(pts, top, bottom):
-    """Ladder between two chains sorted by a shared key (ties: top first)."""
-    tris = []
-    la, ka = top[0]
-    lb, kb = bottom[0]
-    ia = ib = 1
-    while ia < len(top) or ib < len(bottom):
-        take_top = ib >= len(bottom) or (ia < len(top) and top[ia][1] <= bottom[ib][1])
-        if take_top:
-            v, ka = top[ia]
-            ia += 1
-            tris.append(_oriented(pts, la, v, lb))
-            la = v
-        else:
-            v, kb = bottom[ib]
-            ib += 1
-            tris.append(_oriented(pts, la, v, lb))
-            lb = v
     return tris
 
 
@@ -404,11 +391,11 @@ def generate_two_semicircle(spec: TwoSemicircleSpec) -> ConstructionOutput:
     e_lbot = n_top + n_bot          # (-d/2, -1)
     e_rbot = q_idx + n_top          # (d/2, -1)
     e_rtop = q_idx + n_top + n_bot  # (d/2, 1)
-    tris += _strip(
+    tris += _ladder(
         pts,
-        top=[(e_ltop, -d / 2.0), (e_rtop, d / 2.0)],
-        bottom=[(e_lbot, -d / 2.0), (e_rbot, d / 2.0)],
-    )
+        [(e_ltop, -d / 2.0), (e_rtop, d / 2.0)],
+        [(e_lbot, -d / 2.0), (e_rbot, d / 2.0)],
+    )[0]
 
     return ConstructionOutput(
         points=PointSet(tuple(pts)),
@@ -620,7 +607,7 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
     tris = list(kept)
     tris += _funnel(coords, p_idx, left_top, left_bot, check_rungs=True)
     tris += _funnel(coords, q_idx, right_top, right_bot, check_rungs=True)
-    tris += _strip(coords, strip_top, strip_bot)
+    tris += _ladder(coords, strip_top, strip_bot)[0]
 
     # Boundary route: unit arc to the junction, gap hop, big arc, and mirror.
     hop = dist(coords[left_top[-1][0]], coords[big_top[0][0]])

@@ -176,28 +176,26 @@ class TrendResult:
     # (n, trial, master seed, max dilation, witness i, witness j)
     thresholds: tuple[float, ...]
 
-    def medians(self) -> dict[int, float]:
+    def _by_n(self) -> list[tuple[int, list[float]]]:
+        """The max dilations of each n, in trial order, by ascending n."""
         byn: dict[int, list[float]] = {}
         for n, _, _, dil, _, _ in self.rows:
             byn.setdefault(n, []).append(dil)
-        return {n: float(np.median(v)) for n, v in sorted(byn.items())}
+        return sorted(byn.items())
+
+    def medians(self) -> dict[int, float]:
+        return {n: float(np.median(v)) for n, v in self._by_n()}
 
     def maxima(self) -> dict[int, float]:
-        byn: dict[int, list[float]] = {}
-        for n, _, _, dil, _, _ in self.rows:
-            byn.setdefault(n, []).append(dil)
-        return {n: max(v) for n, v in sorted(byn.items())}
+        return {n: max(v) for n, v in self._by_n()}
 
     def exceed_fractions(self) -> dict[int, dict[float, float]]:
-        byn: dict[int, list[float]] = {}
-        for n, _, _, dil, _, _ in self.rows:
-            byn.setdefault(n, []).append(dil)
         return {
             n: {
                 thr: sum(1 for v in vals if v > thr) / len(vals)
                 for thr in self.thresholds
             }
-            for n, vals in sorted(byn.items())
+            for n, vals in self._by_n()
         }
 
     def to_csv(self) -> str:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geom import (
     CollinearPointsError,
@@ -172,8 +174,7 @@ def triangulation_from_json(text: str) -> Triangulation:
 def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
     """Hull vertex indices in ccw order.
 
-    With keep_collinear=True, points lying on hull edges are included, which
-    is what the Euler-relation bookkeeping for triangulations needs.
+    With keep_collinear=True, points lying on hull edges are included.
     """
     n = len(ps)
     order = sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
@@ -219,10 +220,10 @@ def delaunay(ps: PointSet) -> Triangulation:
     if len(ps) < 3:
         raise GeometryError("need at least 3 points")
     tris = _qhull_triangles(ps)
-    mesh = None if tris is None else _half_edges(ps, tris)
-    if mesh is None:
-        mesh = _half_edges(ps, _sweep_triangulation(ps))
-    opp, suspects = mesh
+    quads = None if tris is None else _tiling(ps, tris)
+    if quads is None:
+        quads = _tiling(ps, _sweep_triangulation(ps))
+    opp, suspects = _half_edges(ps, quads)
     ties = _legalize(ps, opp, suspects)
     return Triangulation.from_triples(_break_cocircular_ties(opp, ties))
 
@@ -281,43 +282,63 @@ def _sweep_triangulation(ps: PointSet) -> np.ndarray:
     return np.array(tris, dtype=np.int64)
 
 
-def _half_edges(ps: PointSet, tris: np.ndarray):
-    """Half-edge map of ccw triangles, and the edges the incircle filter flags.
+def _tiling(ps: PointSet, tris: np.ndarray):
+    """The half-edges of ccw triangles if they tile hull(ps), else None.
 
-    ``opp[(u, v)]`` is the third vertex of the triangle left of u->v.  The
-    flagged edges are the interior ones the float filter of ``geom.incircle``
-    cannot certify as legal.  Returns None unless the triangles tile the
-    convex hull: every point is used, no directed edge repeats, and the
+    They tile it when every point is used, no directed edge repeats, and the
     unpaired edges form one convex ccw cycle.  Then each point off the edges
     lies in as many triangles as the cycle winds around it: one inside the
     hull, zero outside.
     """
     if np.bincount(tris.ravel(), minlength=len(ps)).min() == 0:
         return None
-    opp, (u, v, w, x) = _edge_quads(tris)
-    if len(opp) != len(u):
+    quads = _edge_quads(tris)
+    if quads is None:
         return None
-    hull = x < 0
+    u, v, _, twin = quads
+    hull = twin < 0
     if not _is_convex_cycle(ps, u[hull].tolist(), v[hull].tolist()):
         return None
-    inner = np.flatnonzero(~hull & (u < v))
-    quads = (u[inner], v[inner], w[inner], x[inner])
-    flagged = inner[_filter_signs(_incircle_float, ps.coords, *quads) >= 0]
+    return quads
+
+
+def _half_edges(ps: PointSet, quads):
+    """The map opp[(u, v)] = w of a tiling's half-edges, and the flagged edges.
+
+    ``opp[(u, v)]`` is the third vertex of the triangle left of u->v.  The
+    flagged edges are the interior ones the float filter of ``geom.incircle``
+    cannot certify as legal.
+    """
+    u, v, w, twin = quads
+    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    inner = np.flatnonzero((twin >= 0) & (u < v))
+    signs = _filter_signs(
+        _incircle_float, ps.coords, u[inner], v[inner], w[inner], w[twin[inner]]
+    )
+    flagged = inner[signs >= 0]
     return opp, list(zip(u[flagged].tolist(), v[flagged].tolist()))
 
 
 def _edge_quads(tris: np.ndarray):
-    """The map opp[(u, v)] = w of ccw triangles, and its half-edges as arrays.
+    """The half-edges of ccw triangles as arrays (u, v, w, twin).
 
-    Each half-edge u->v comes with w, the third vertex of its own triangle,
-    and x, that of the triangle across it (-1 on the hull).
+    Half-edge k runs u->v in triangle k // 3, slot k % 3 being (a, b),
+    (b, c), (c, a); w is the triangle's third vertex, and twin the index of
+    the half-edge v->u (-1 on the hull), so w[twin] lies across the edge.
+    Returns None if a directed edge repeats.
     """
     u = tris.ravel()
     v = tris[:, [1, 2, 0]].ravel()
     w = tris[:, [2, 0, 1]].ravel()
-    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
-    x = np.array([opp.get(e, -1) for e in zip(v.tolist(), u.tolist())], dtype=u.dtype)
-    return opp, (u, v, w, x)
+    n = int(tris.max(initial=0)) + 1
+    order = np.argsort(u * n + v)
+    keys = (u * n + v)[order]
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    back = v * n + u
+    pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+    twin = np.where(keys[pos] == back, order[pos], -1)
+    return u, v, w, twin
 
 
 def _is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
@@ -377,34 +398,20 @@ def _break_cocircular_ties(opp: dict, ties: set) -> list:
     tris = [(u, v, w) for (u, v), w in opp.items() if u < v and u < w]
     if not ties:
         return tris
+    index = {t: k for k, t in enumerate(tris)}
 
     def tri(u, v):
-        return _canonical_triple((u, v, opp[(u, v)]))
+        return index[_canonical_triple((u, v, opp[(u, v)]))]
 
-    parent = {t: t for t in tris}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in ties:
-        parent[find(tri(u, v))] = find(tri(v, u))
-
-    clusters: dict[tuple, list] = {}
-    for t in tris:
-        clusters.setdefault(find(t), []).append(t)
-
-    out = []
-    for members in clusters.values():
-        if len(members) == 1:
-            out.extend(members)
-            continue
+    pairs = np.array([(tri(u, v), tri(v, u)) for u, v in ties])
+    clusters = _clusters(len(tris), pairs[:, 0], pairs[:, 1])
+    grouped = {k for members in clusters for k in members}
+    out = [t for k, t in enumerate(tris) if k not in grouped]
+    for members in clusters:
         member_set = set(members)
         # Boundary cycle of the cluster, ccw because triangles are ccw.
         succ = {}
-        for a, b, c in members:
+        for a, b, c in (tris[k] for k in members):
             for u, v in ((a, b), (b, c), (c, a)):
                 if (v, u) not in opp or tri(v, u) not in member_set:
                     succ[u] = v
@@ -413,6 +420,20 @@ def _break_cocircular_ties(opp: dict, ties: set) -> list:
             cycle.append(succ[cycle[-1]])
         out.extend(_lexmin_polygon_triangulation(cycle))
     return out
+
+
+def _clusters(n: int, i: np.ndarray, j: np.ndarray) -> list[list[int]]:
+    """The components of two or more nodes of the graph on range(n), edges i-j.
+
+    Members ascend, and the clusters are ordered by their smallest member.
+    """
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    nodes = np.unique(np.concatenate([i, j]))
+    order = nodes[np.argsort(labels[nodes], kind="stable")]
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    groups = np.split(order, cuts) if len(order) else []
+    return sorted((g.tolist() for g in groups), key=lambda g: g[0])
 
 
 def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
@@ -447,56 +468,30 @@ def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]
 def _structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, int, int]]:
     """Raise TriangulationStructureError unless t triangulates hull(ps).
 
-    Returns the triangles normalized to ccw orientation.
+    Returns the triangles turned ccw: a cw triple (a, b, c) becomes (a, c, b).
     """
     n = len(ps)
     if n < 3:
         raise TriangulationStructureError("point set too small")
     if not t.triangles:
         raise TriangulationStructureError("empty triangulation")
-
-    normalized = []
-    used = set()
     for tri in t.triangles:
-        a, b, c = tri
-        if len({a, b, c}) < 3:
+        if len(set(tri)) < 3:
             raise TriangulationStructureError(f"repeated index in triangle {tri}")
         if not all(0 <= i < n for i in tri):
             raise TriangulationStructureError(f"index out of range in triangle {tri}")
-        s = orient2d(ps[a], ps[b], ps[c])
-        if s is Sign.ZERO:
-            raise TriangulationStructureError(f"degenerate triangle {tri}")
-        normalized.append((a, b, c) if s is Sign.POSITIVE else (a, c, b))
-        used.update(tri)
-    if used != set(range(n)):
-        missing = sorted(set(range(n)) - used)
-        raise TriangulationStructureError(f"points not used: {missing}")
 
-    directed = set()
-    undirected: dict[tuple[int, int], int] = {}
-    for a, b, c in normalized:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in directed:
-                raise TriangulationStructureError(
-                    f"directed edge {(u, v)} used twice (overlapping triangles)"
-                )
-            directed.add((u, v))
-            key = (u, v) if u < v else (v, u)
-            undirected[key] = undirected.get(key, 0) + 1
-    if any(cnt > 2 for cnt in undirected.values()):
-        raise TriangulationStructureError("an edge borders more than two triangles")
-
-    boundary = [e for e, cnt in undirected.items() if cnt == 1]
-    hull = convex_hull(ps, keep_collinear=True)
-    h = len(hull)
-    n_tri = len(normalized)
-    n_edge = len(undirected)
-    if n_tri != 2 * n - h - 2 or n_edge != 3 * n - h - 3 or len(boundary) != h:
+    tris = np.array(t.triangles, dtype=np.int64)
+    signs = _orientations(ps, tris)
+    if (signs == 0).any():
+        tri = t.triangles[np.flatnonzero(signs == 0)[0]]
+        raise TriangulationStructureError(f"degenerate triangle {tri}")
+    tris[signs < 0] = tris[signs < 0][:, [0, 2, 1]]
+    if _tiling(ps, tris) is None:
         raise TriangulationStructureError(
-            "Euler relation violated: "
-            f"n={n} h={h} triangles={n_tri} edges={n_edge} boundary={len(boundary)}"
+            "the triangles do not tile the convex hull exactly once"
         )
-    return normalized
+    return [tuple(tri) for tri in tris.tolist()]
 
 
 def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
@@ -611,9 +606,12 @@ def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
     if (signs == 0).any():
         raise CollinearPointsError("incircle needs a non-degenerate triangle")
     tris[signs < 0] = tris[signs < 0][:, ::-1]
-    _, (u, v, w, x) = _edge_quads(tris)
-    inner = np.flatnonzero((x >= 0) & (u < v))
-    quads = (u[inner], v[inner], w[inner], x[inner])
+    quads = _edge_quads(tris)
+    if quads is None:
+        raise TriangulationStructureError("a directed edge is used twice")
+    u, v, w, twin = quads
+    inner = np.flatnonzero((twin >= 0) & (u < v))
+    quads = (u[inner], v[inner], w[inner], w[twin[inner]])
     unsure = _filter_signs(_incircle_float, ps.coords, *quads) == 0
     if not unsure.any():
         return False
@@ -658,16 +656,16 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    _structural_check(ps, t)
+    tris = _structural_check(ps, t)
     if delaunay(ps).triangles == t.triangles and not _has_exact_cocircularity(ps, t):
         return ps
 
-    tris, clusters = _near_cocircular_clusters(ps, t)
+    clusters = _near_cocircular_clusters(ps, tris)
     if not clusters:
         raise RealizationError(
             "triangulation differs from the Delaunay but has no cocircular freedom"
         )
-    weights = _cluster_weights(ps, tris, clusters)
+    weights = _cluster_weights(ps, clusters)
 
     scale = max(dist(ps[0], p) for p in ps) or 1.0
     step = min(budget, 1e-6 * scale) * 0.999
@@ -695,58 +693,39 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     raise RealizationError("could not realize the triangulation within budget")
 
 
-def _near_cocircular_clusters(ps: PointSet, t: Triangulation, rtol: float = 1e-9):
-    """Groups of edge-adjacent triangles sharing one circumcircle (within rtol).
+def _near_cocircular_clusters(ps: PointSet, tris: list, rtol: float = 1e-9):
+    """Groups of edge-adjacent ccw triangles sharing one circumcircle (within rtol).
 
-    Returns (normalized ccw triangles, list of (member ids, shared center)).
+    Returns (shared center, interior edges) per group, ordered by the
+    smallest member.  The interior edges are rows (u, v, w1, w2), one per
+    half-edge u->v of a member i whose twin lies in a member j > i, with w1
+    and w2 the third vertices of i and j, in (triangle, slot) order.
     """
-    tris = [
-        tri if orient2d(ps[tri[0]], ps[tri[1]], ps[tri[2]]) is Sign.POSITIVE
-        else (tri[0], tri[2], tri[1])
-        for tri in t.triangles
-    ]
-    coords = ps.coords
     arr = np.array(tris, dtype=np.intp)
-    centers, radii = _circumcircles_array(coords, arr)
-
-    edge_tri: dict[tuple[int, int], int] = {}
-    for i, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_tri[(u, v)] = i
-
-    parent = list(range(len(tris)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            j = edge_tri.get((v, u))
-            if j is None or j <= i:
-                continue
-            r = max(radii[i], radii[j])
-            if (
-                abs(radii[i] - radii[j]) <= rtol * r
-                and np.hypot(*(centers[i] - centers[j])) <= rtol * r
-            ):
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(tris)):
-        groups.setdefault(find(i), []).append(i)
+    centers, radii = _circumcircles_array(ps.coords, arr)
+    u, v, w, twin = _edge_quads(arr)
+    k = np.flatnonzero(twin // 3 > np.arange(len(twin)) // 3)
+    i, j = k // 3, twin[k] // 3
+    r = np.maximum(radii[i], radii[j])
+    near = (np.abs(radii[i] - radii[j]) <= rtol * r) & (
+        np.hypot(*(centers[i] - centers[j]).T) <= rtol * r
+    )
+    groups = _clusters(len(tris), i[near], j[near])
+    label = np.full(len(tris), -1)
+    for c, members in enumerate(groups):
+        label[members] = c
+    k = k[(label[i] >= 0) & (label[i] == label[j])]
+    k = k[np.argsort(label[k // 3], kind="stable")]
+    quads = np.stack([u[k], v[k], w[k], w[twin[k]]], axis=1)
+    cuts = np.searchsorted(label[k // 3], np.arange(1, len(groups)))
     clusters = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
+    for members, edges in zip(groups, np.split(quads, cuts)):
         center = centers[members].mean(axis=0)
-        clusters.append((members, (float(center[0]), float(center[1]))))
-    return tris, clusters
+        clusters.append(((float(center[0]), float(center[1])), edges.tolist()))
+    return clusters
 
 
-def _cluster_weights(ps: PointSet, tris, clusters):
+def _cluster_weights(ps: PointSet, clusters):
     """Solve for radial weights making every cluster's diagonals strictly legal.
 
     One variable per (point, cluster) incidence; a point shared by several
@@ -761,44 +740,29 @@ def _cluster_weights(ps: PointSet, tris, clusters):
         norm = math.hypot(ux, uy)
         return (ux / norm, uy / norm) if norm else (0.0, 0.0)
 
-    # Pass 1: register every (point, cluster) variable.
-    var_index: dict[tuple[int, int], int] = {}
+    # Pass 1: register every (point, cluster) variable.  Each member shares
+    # an interior edge with another, so those edges' quads hold every point.
     var_meta: list[tuple[int, tuple[float, float]]] = []
     point_vars: dict[int, list[int]] = {}
-    for ci, (members, center) in enumerate(clusters):
-        pts_in_cluster = sorted({v for i in members for v in tris[i]})
-        for pt in pts_in_cluster:
-            var_index[(pt, ci)] = len(var_meta)
+    for center, edges in clusters:
+        for pt in sorted({p for quad in edges for p in quad}):
+            point_vars.setdefault(pt, []).append(len(var_meta))
             var_meta.append((pt, center))
-            point_vars.setdefault(pt, []).append(var_index[(pt, ci)])
 
-    # Pass 2: one constraint per internal edge of each cluster.
+    # Pass 2: one constraint per interior edge of each cluster.
     rows: list[dict[int, float]] = []
-    for ci, (members, center) in enumerate(clusters):
-        member_set = set(members)
-        edge_tri: dict[tuple[int, int], int] = {}
-        for i in members:
-            a, b, c = tris[i]
-            for u, v in ((a, b), (b, c), (c, a)):
-                edge_tri[(u, v)] = i
-        for i in members:
-            a, b, c = tris[i]
-            for u, v in ((a, b), (b, c), (c, a)):
-                j = edge_tri.get((v, u))
-                if j is None or j not in member_set or j <= i:
-                    continue
-                w1 = next(x for x in tris[i] if x not in (u, v))
-                w2 = next(x for x in tris[j] if x not in (u, v))
-                coeffs = _lift_row(ps, u, v, w1, w2)
-                row: dict[int, float] = {}
-                for pt_idx, coeff in coeffs.items():
-                    radial = inward_unit(pt_idx, center)
-                    for vi in point_vars.get(pt_idx, ()):
-                        d = inward_unit(pt_idx, var_meta[vi][1])
-                        proj = d[0] * radial[0] + d[1] * radial[1]
-                        if proj != 0.0:
-                            row[vi] = row.get(vi, 0.0) + coeff * proj
-                rows.append(row)
+    for center, edges in clusters:
+        for u, v, w1, w2 in edges:
+            coeffs = _lift_row(ps, u, v, w1, w2)
+            row: dict[int, float] = {}
+            for pt_idx, coeff in coeffs.items():
+                radial = inward_unit(pt_idx, center)
+                for vi in point_vars.get(pt_idx, ()):
+                    d = inward_unit(pt_idx, var_meta[vi][1])
+                    proj = d[0] * radial[0] + d[1] * radial[1]
+                    if proj != 0.0:
+                        row[vi] = row.get(vi, 0.0) + coeff * proj
+            rows.append(row)
 
     nvars = len(var_meta)
     a_ub = np.zeros((len(rows), nvars))

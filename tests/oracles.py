@@ -3,9 +3,10 @@
 Deliberately share no code with the package: rational-arithmetic predicates,
 a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
 enumeration for shortest paths, and the original dense all-pairs dilation
-reduction.  Two exceptions run on the package's exact predicates: the
-original Bowyer-Watson Delaunay builder, and the original validity check,
-which takes its eps=0 candidates from a float-margin band.
+reduction.  Three exceptions run on the package's exact predicates: the
+original Bowyer-Watson Delaunay builder, the original validity check, which
+takes its eps=0 candidates from a float-margin band, and the original
+structure check, which counts Euler relations.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from delaunay_dilation.triangulation import (
     AllCollinearError,
     PointSet,
     Triangulation,
+    TriangulationStructureError,
     ValidityReport,
     _structural_check,
+    convex_hull,
 )
 
 
@@ -507,3 +510,64 @@ def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> 
                 violations.append((tri_idx, pi, margin))
     violations.sort()
     return ValidityReport(valid=not violations, violations=tuple(violations))
+
+
+# --------------------------------------------------------------------------
+# The original structure check: Euler counts against the convex hull.  It
+# accepts a fan that winds twice around its centre (a pentagram boundary
+# satisfies every count), which the package's tiling test rejects.
+# --------------------------------------------------------------------------
+
+def euler_structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, int, int]]:
+    """Raise TriangulationStructureError unless t triangulates hull(ps).
+
+    Returns the triangles normalized to ccw orientation.
+    """
+    n = len(ps)
+    if n < 3:
+        raise TriangulationStructureError("point set too small")
+    if not t.triangles:
+        raise TriangulationStructureError("empty triangulation")
+
+    normalized = []
+    used = set()
+    for tri in t.triangles:
+        a, b, c = tri
+        if len({a, b, c}) < 3:
+            raise TriangulationStructureError(f"repeated index in triangle {tri}")
+        if not all(0 <= i < n for i in tri):
+            raise TriangulationStructureError(f"index out of range in triangle {tri}")
+        s = orient2d(ps[a], ps[b], ps[c])
+        if s is Sign.ZERO:
+            raise TriangulationStructureError(f"degenerate triangle {tri}")
+        normalized.append((a, b, c) if s is Sign.POSITIVE else (a, c, b))
+        used.update(tri)
+    if used != set(range(n)):
+        missing = sorted(set(range(n)) - used)
+        raise TriangulationStructureError(f"points not used: {missing}")
+
+    directed = set()
+    undirected: dict[tuple[int, int], int] = {}
+    for a, b, c in normalized:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (u, v) in directed:
+                raise TriangulationStructureError(
+                    f"directed edge {(u, v)} used twice (overlapping triangles)"
+                )
+            directed.add((u, v))
+            key = (u, v) if u < v else (v, u)
+            undirected[key] = undirected.get(key, 0) + 1
+    if any(cnt > 2 for cnt in undirected.values()):
+        raise TriangulationStructureError("an edge borders more than two triangles")
+
+    boundary = [e for e, cnt in undirected.items() if cnt == 1]
+    hull = convex_hull(ps, keep_collinear=True)
+    h = len(hull)
+    n_tri = len(normalized)
+    n_edge = len(undirected)
+    if n_tri != 2 * n - h - 2 or n_edge != 3 * n - h - 3 or len(boundary) != h:
+        raise TriangulationStructureError(
+            "Euler relation violated: "
+            f"n={n} h={h} triangles={n_tri} edges={n_edge} boundary={len(boundary)}"
+        )
+    return normalized

@@ -13,6 +13,8 @@ from delaunay_dilation.triangulation import (
     triangulation_to_json,
 )
 
+from test_builder import BAD_QHULL
+
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
@@ -24,6 +26,16 @@ def write_square(tmp_path, tris=None):
     if tris is not None:
         tpath = tmp_path / "tri.json"
         tpath.write_text(triangulation_to_json(Triangulation.from_triples(tris)))
+    return ppath, tpath
+
+
+def write_double_cover(tmp_path):
+    """The pentagram fan: every Euler count holds, but it winds twice."""
+    points, tris = BAD_QHULL["double_cover"]
+    ppath = tmp_path / "points.json"
+    ppath.write_text(points_to_json(PointSet.from_coords(points)))
+    tpath = tmp_path / "tri.json"
+    tpath.write_text(triangulation_to_json(Triangulation.from_triples(tris)))
     return ppath, tpath
 
 
@@ -95,6 +107,11 @@ class TestDilation:
         value = float(out.split("dilation: ")[1].splitlines()[0])
         assert value == pytest.approx(math.sqrt(2), rel=1e-12)
 
+    def test_double_cover_triangulation_exit_2(self, tmp_path, capsys):
+        ppath, tpath = write_double_cover(tmp_path)
+        assert main(["dilation", str(ppath), "--triangulation", str(tpath)]) == 2
+        assert "max dilation" not in capsys.readouterr().out
+
     def test_collinear_points_domain_error(self, tmp_path):
         ppath = tmp_path / "collinear.json"
         ppath.write_text(json.dumps({"points": [[0, 0], [1, 1], [2, 2]]}))
@@ -154,6 +171,11 @@ class TestVerify:
     def test_overlapping_triangles_exit_2(self, tmp_path):
         ppath, tpath = write_square(tmp_path, tris=[(0, 1, 2), (0, 1, 3)])
         assert main(["verify", str(ppath), str(tpath)]) == 2
+
+    def test_double_cover_exit_2(self, tmp_path, capsys):
+        ppath, tpath = write_double_cover(tmp_path)
+        assert main(["verify", str(ppath), str(tpath)]) == 2
+        assert "tile the convex hull" in capsys.readouterr().err
 
     def test_flipped_diagonal_exit_1(self, tmp_path, capsys):
         ps = perturb(PointSet.from_coords(SQUARE), 1e-3, seed=1)

@@ -1,0 +1,110 @@
+"""The structure check against the Euler-count check it replaced.
+
+``_structural_check`` and the builder's fallback decision share one tiling
+test: every point used, no directed edge twice, and the unpaired edges one
+convex ccw cycle.  ``oracles.euler_structural_check`` is the original check,
+which only counted triangles, edges and boundary edges against the hull.
+Whatever the tiling test accepts, the Euler counts accept too; the reverse
+fails on the pentagram fan, which winds twice around its centre.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from delaunay_dilation.triangulation import (
+    AllCollinearError,
+    PointSet,
+    Triangulation,
+    TriangulationStructureError,
+    _has_exact_cocircularity,
+    _structural_check,
+    delaunay,
+    is_valid_delaunay,
+)
+from oracles import euler_structural_check
+from test_builder import BAD_QHULL
+from test_validity import _flip
+
+
+def _accepts(check, ps, t) -> bool:
+    try:
+        check(ps, t)
+    except TriangulationStructureError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("reason", list(BAD_QHULL))
+def test_is_valid_delaunay_rejects_unusable_qhull_output(reason):
+    points, simplices = BAD_QHULL[reason]
+    ps = PointSet.from_coords(points)
+    with pytest.raises(TriangulationStructureError):
+        is_valid_delaunay(ps, Triangulation.from_triples(simplices), 0.0)
+
+
+def test_cocircularity_check_rejects_a_repeated_directed_edge():
+    points, simplices = BAD_QHULL["overlap"]
+    ps = PointSet.from_coords(points)
+    with pytest.raises(TriangulationStructureError):
+        _has_exact_cocircularity(ps, Triangulation.from_triples(simplices))
+
+
+def test_double_cover_is_the_known_difference():
+    points, simplices = BAD_QHULL["double_cover"]
+    ps = PointSet.from_coords(points)
+    t = Triangulation.from_triples(simplices)
+    assert len(euler_structural_check(ps, t)) == 5
+    assert not _accepts(_structural_check, ps, t)
+
+
+@st.composite
+def triangulated_sets(draw):
+    """A Delaunay triangulation of a small random or grid set, flipped a few times."""
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        coords = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2))
+        pts = [tuple(p) for p in coords.tolist()]
+    else:
+        cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        pts = [(float(x), float(y)) for x, y in draw(st.lists(cells, min_size=3, max_size=n, unique=True))]
+    ps = PointSet.from_coords(pts)
+    try:
+        tris = list(delaunay(ps).triangles)
+    except AllCollinearError:
+        assume(False)
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=4)):
+        tris = _flip(tris, pts, pick)
+    return ps, tris
+
+
+def _corrupt(draw, n, tris):
+    """Drop, add or rewire a triangle, or turn one clockwise (still a tiling)."""
+    k = draw(st.integers(0, len(tris) - 1))
+    kind = draw(st.sampled_from(["drop", "add", "rewire", "turn"]))
+    tri = list(tris[k])
+    others = [i for i in range(n) if i not in tri]
+    if kind == "drop":
+        return tris[:k] + tris[k + 1 :]
+    if kind == "add":
+        return tris + [tuple(draw(st.permutations(range(n)))[:3])]
+    if kind == "rewire" and others:
+        tri[draw(st.integers(0, 2))] = draw(st.sampled_from(others))
+    else:
+        tri[1], tri[2] = tri[2], tri[1]
+    return tris[:k] + [tuple(tri)] + tris[k + 1 :]
+
+
+@given(triangulated_sets(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tiling_acceptance_implies_euler_acceptance(case, data):
+    ps, tris = case
+    t = Triangulation.from_triples(tris)
+    assert _structural_check(ps, t) == euler_structural_check(ps, t)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if tris:
+            tris = _corrupt(data.draw, len(ps), tris)
+    t = Triangulation.from_triples(tris)
+    if _accepts(_structural_check, ps, t):
+        assert _structural_check(ps, t) == euler_structural_check(ps, t)
