@@ -81,16 +81,16 @@ def _load_triangulation(path: str):
 # --------------------------------------------------------------------------
 
 def _build_construction(args) -> cons.ConstructionOutput:
-    if args.kind == "chew":
-        return cons.generate_chew(cons.ChewSpec(n=args.n))
-    if args.kind == "convex":
-        n_arc = args.n_arc if args.n_arc else max(5, args.points // 2)
-        return cons.generate_two_semicircle(
-            cons.TwoSemicircleSpec(d=args.d, alpha=args.alpha, n_arc=n_arc)
-        )
-    if args.kind == "three-circle":
-        return cons.generate_three_circle(
-            cons.ThreeCircleSpec(
+    # The specs check their parameters, so a bad one is an input error.
+    try:
+        if args.kind == "chew":
+            spec, generate = cons.ChewSpec(n=args.n), cons.generate_chew
+        elif args.kind == "convex":
+            n_arc = args.n_arc if args.n_arc else max(5, args.points // 2)
+            spec = cons.TwoSemicircleSpec(d=args.d, alpha=args.alpha, n_arc=n_arc)
+            generate = cons.generate_two_semicircle
+        elif args.kind == "three-circle":
+            spec = cons.ThreeCircleSpec(
                 d=args.d,
                 r=args.r,
                 theta=args.theta,
@@ -99,8 +99,12 @@ def _build_construction(args) -> cons.ConstructionOutput:
                 arc_density=args.arc_density,
                 shield_margin=args.shield_margin,
             )
-        )
-    raise _UsageError(f"unknown construction kind {args.kind!r}")
+            generate = cons.generate_three_circle
+        else:
+            raise _UsageError(f"unknown construction kind {args.kind!r}")
+    except GeometryError as e:
+        raise _UsageError(f"invalid {args.kind} parameters: {e}") from e
+    return generate(spec)
 
 
 def _guide_circles(args) -> list[tuple[float, float, float]]:

@@ -1,15 +1,56 @@
 """Shortest paths and dilation of triangulations viewed as Euclidean graphs.
 
-The all-pairs maximum streams over blocks of ``_BLOCK_ROWS`` source rows.
-Each block runs one binary-heap Dijkstra per source (scipy's csgraph
-implementation) and reduces only the pairs ``j > i``, so memory is
-O(B*n) for a block of B sources rather than O(n^2).  The Dijkstra runs in
-directed mode: the sparse matrix stores every edge once in each direction,
-so each edge is relaxed once per direction and the settled distances are
-the same float sums as in undirected mode.  The reduction is deterministic:
-ties in the ratio go to the smallest ``(i, j)`` in row-major order, within a
-block by the first maximum and across blocks by a strict comparison.
-Witness paths and single-pair queries use a local Dijkstra with exact-tie
+``max_dilation`` is exact over all pairs but runs a full Dijkstra only from
+a few landmarks; every other source runs a Dijkstra bounded by a distance
+limit, or not at all.  It works in three steps.
+
+1. Landmark rows.  ``max(1, n // _LANDMARK_SPACING)`` vertices, in Euclidean
+   farthest-point order from vertex 0, get full Dijkstra rows (scipy's
+   csgraph implementation).  A landmark row is the very row the source would
+   get in any other run, so its pairs ``(k, t > k)`` give exact ratios, and
+   their maximum is a lower bound ``t*`` on the answer.
+2. Landmark bounds.  For each source s with nearest landmark k (by graph
+   distance) the triangle inequality gives ``d(s, t) <= d(k, s) + d(k, t)``
+   (the ALT bound of Goldberg and Harrelson, SODA 2005), so
+   ``(d(k, s) + d(k, t)) / |st|`` bounds the ratio of every pair
+   ``(s, t > s)`` from one stored row.  A pair whose bound, raised by the
+   relative slack ``_SLACK``, is below ``t*`` cannot reach the maximum.  The
+   source keeps the largest bound over its pairs and a distance limit: the
+   largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept pairs.  The
+   bounds are computed in blocks of ``_BLOCK_ROWS`` sources, so they need
+   O(_BLOCK_ROWS * n) memory besides the landmark rows.
+3. Bounded rows.  The sources with a kept pair are sorted by their limit
+   and run in chunks of ``_BLOCK_ROWS`` with ``dijkstra(limit=...)`` set to
+   the chunk's largest limit: sources with similar limits share a chunk, so
+   one limit serves them all.  Before each chunk, the sources whose largest
+   bound has fallen below the best ratio found so far are dropped.
+
+The slack.  Dijkstra's distances are float sums along paths of at most
+n - 1 edges, and the landmark path to t and back to s has at most 2n - 2;
+a float sum of h positive terms is within a relative (h - 1) * u of the
+exact sum (u = 2**-53; Higham, "Accuracy and Stability of Numerical
+Algorithms", section 4).  So a computed ``d(s, t)`` exceeds the computed
+``d(k, s) + d(k, t)`` by a relative 3n * u at most.  The bounds are
+compared squared, which adds a few more u while the squares stay in the
+normal float range; a block of sources where they might not keeps every
+pair.  ``_SLACK`` covers all of that while ``n * 2**-52 <= _SLACK / 4``,
+that is up to about a million vertices; beyond that nothing is pruned.
+
+Why the report is bit-identical to a full run.  Dijkstra settles a node
+whose distance is within the limit through nodes that are within the limit
+too, and a node beyond the limit cannot lower a settled distance, since
+``d + w >= d`` in floats too: the settled distances are the same float
+sums as in a full run (scipy leaves the others at inf).  Every ratio is the
+same ``d(i, j) / hypot(x_i - x_j, y_i - y_j)`` of a row from source i.  A
+pair left out has a computed ratio strictly below ``t*``, so it can neither
+win nor tie.  The witness is the pair with the largest ratio and, among
+equal ratios, the smallest ``(i, j)``, whatever order the rows ran in.
+With ``include_pairs`` the same code runs with nothing pruned and no limit.
+
+The Dijkstra runs in directed mode: the sparse matrix stores every edge
+once in each direction, so each edge is relaxed once per direction and the
+settled distances are the same float sums as in undirected mode.  Witness
+paths and single-pair queries use a local Dijkstra with exact-tie
 preference for the lexicographically smallest vertex sequence.
 """
 
@@ -17,10 +58,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,8 +81,15 @@ __all__ = [
     "pairs_to_csv",
 ]
 
-# Sources per Dijkstra block: a block holds _BLOCK_ROWS * n float64 distances.
-_BLOCK_ROWS = 256
+log = logging.getLogger(__name__)
+
+# One landmark per _LANDMARK_SPACING vertices: the landmark rows hold
+# n * n / _LANDMARK_SPACING float64 distances.
+_LANDMARK_SPACING = 16
+# Sources per bound block and per bounded Dijkstra chunk.
+_BLOCK_ROWS = 64
+# Relative slack on the landmark bounds and limits; see the module docstring.
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,56 +214,172 @@ def pair_dilation(g: EuclideanGraph, u: int, v: int) -> float:
 def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationReport:
     """Maximum dilation over all vertex pairs, with witness pair and path.
 
-    Ties in the ratio go to the smallest ``(i, j)`` in row-major order.  With
-    ``include_pairs`` the report carries every ``(i, j, ratio)`` with
-    ``i < j``, in that same order.
+    Ties in the ratio go to the smallest ``(i, j)``.  With ``include_pairs``
+    the report carries every ``(i, j, ratio)`` with ``i < j``, in row-major
+    order.
     """
     n = len(g.points)
     if n < 2:
         raise GeometryError("need at least 2 vertices")
     x, y = g.points.coords.T
-    best = -math.inf
-    wi = wj = 0
-    pairs: list[tuple[int, int, float]] | None = [] if include_pairs else None
+    marks = _landmarks(g.points.coords, max(1, n // _LANDMARK_SPACING))
+    land = _csgraph_dijkstra(g._csr, directed=True, indices=marks)
+    if np.isinf(land[0]).any():
+        raise GeometryError("graph is disconnected")
+    rows: list[list[float]] | None = [[]] * n if include_pairs else None
+    best = (-math.inf, 0, 0)  # (ratio, i, j)
+    reduced = 0
+    for lo in range(0, len(marks), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        best, count = _reduce(land[lo:hi], marks[lo:hi], x, y, best, rows)
+        reduced += count
+    settled = land.size
     # The last vertex has no partner j > i, so it is never a source.
-    for start in range(0, n - 1, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n - 1)
+    todo = np.ones(n - 1, dtype=bool)
+    todo[marks[marks < n - 1]] = False
+    if include_pairs or n * 2.0**-52 > _SLACK / 4:
+        top = limit = np.full(n - 1, np.inf)
+    else:
+        top, limit = _landmark_bounds(land, x, y, best[0])
+    del land
+    sources = np.flatnonzero(todo & (top >= best[0]))
+    sources = sources[np.argsort(limit[sources], kind="stable")]
+    run = 0
+    for lo in range(0, len(sources), _BLOCK_ROWS):
+        chunk = sources[lo:lo + _BLOCK_ROWS]
+        chunk = chunk[top[chunk] >= best[0]]
+        if not len(chunk):
+            continue
         graph_d = _csgraph_dijkstra(
-            g._csr, directed=True, indices=np.arange(start, stop)
+            g._csr, directed=True, indices=chunk, limit=limit[chunk].max()
         )
-        if np.isinf(graph_d).any():
-            raise GeometryError("graph is disconnected")
-        # Row r is source start + r and column c is target start + 1 + c, so
-        # the pair has j > i exactly when c >= r.  The other entries are set
-        # to -inf so they never win the argmax.
-        upper = np.arange(n - start - 1) >= np.arange(stop - start)[:, None]
-        dx = x[start:stop, None] - x[None, start + 1:]
-        dy = y[start:stop, None] - y[None, start + 1:]
-        ratios = np.hypot(dx, dy, out=dx)
-        np.divide(graph_d[:, start + 1:], ratios, out=ratios, where=upper)
-        ratios[~upper] = -np.inf
-        if pairs is not None:
-            for r in range(stop - start):
-                i = start + r
-                pairs.extend(
-                    zip(repeat(i), range(i + 1, n), ratios[r, r:].tolist())
-                )
-        r, c = divmod(int(np.argmax(ratios)), n - start - 1)
-        # Strict > keeps the earlier block's pair on a tie across blocks.
-        if ratios[r, c] > best:
-            best = ratios[r, c]
-            wi, wj = start + r, start + 1 + c
-        # Free this block's arrays before the next Dijkstra allocates its own.
-        del graph_d, upper, dx, dy, ratios
+        settled += int(np.count_nonzero(np.isfinite(graph_d)))
+        run += len(chunk)
+        best, count = _reduce(graph_d, chunk, x, y, best, rows)
+        reduced += count
+    log.debug(
+        "max_dilation n=%d: %d landmarks, %d sources run, %d skipped, "
+        "%d pairs pruned, %d nodes settled",
+        n, len(marks), run, int(np.count_nonzero(todo)) - run,
+        n * (n - 1) // 2 - reduced, settled,
+    )
 
+    _, wi, wj = best
     _, path = shortest_path(g, wi, wj)
     value = _path_length(g.points.coords, path) / dist(g.points[wi], g.points[wj])
+    pairs = None
+    if rows is not None:
+        pairs = tuple(
+            (i, j, r) for i, row in enumerate(rows) for j, r in enumerate(row, i + 1)
+        )
     return DilationReport(
         max_dilation=float(value),
         witness=(wi, wj),
         witness_path=tuple(path),
-        pairs=None if pairs is None else tuple(pairs),
+        pairs=pairs,
     )
+
+
+def _landmarks(coords: np.ndarray, m: int) -> np.ndarray:
+    """m vertices in Euclidean farthest-point order, starting from vertex 0."""
+    far = np.full(len(coords), np.inf)
+    marks = np.empty(m, dtype=np.intp)
+    k = 0
+    for r in range(m):
+        marks[r] = k
+        diff = coords - coords[k]
+        np.minimum(far, np.einsum("ij,ij->i", diff, diff), out=far)
+        k = int(np.argmax(far))
+    return marks
+
+
+def _reduce(graph_d, src, x, y, best, rows):
+    """Fold the pairs ``(i, j > i)`` that the rows graph_d settle into best.
+
+    Row r of graph_d holds the distances from source src[r]; entries beyond
+    a Dijkstra limit are inf.  best is ``(ratio, i, j)``: a larger ratio
+    wins, and an equal one goes to the smaller ``(i, j)``.  With rows, row i
+    of the pair table is stored at rows[i].  Returns the new best and the
+    number of pairs reduced.
+    """
+    ok = np.isfinite(graph_d)
+    ok &= np.arange(graph_d.shape[1]) > src[:, None]
+    flat = np.flatnonzero(ok)
+    r, j = np.divmod(flat, graph_d.shape[1])
+    i = src[r]
+    ratios = graph_d.ravel()[flat]
+    ratios /= np.hypot(x[i] - x[j], y[i] - y[j])
+    if rows is not None:
+        ends = np.cumsum(np.count_nonzero(ok, axis=1))[:-1]
+        for source, row in zip(src.tolist(), np.split(ratios, ends)):
+            rows[source] = row.tolist()
+    if not len(ratios):
+        return best, 0
+    top = ratios.max()
+    if top < best[0]:
+        return best, len(ratios)
+    at = np.flatnonzero(ratios == top)
+    witness = min(zip(i[at].tolist(), j[at].tolist()))
+    if top > best[0] or witness < best[1:]:
+        return (top, *witness), len(ratios)
+    return best, len(ratios)
+
+
+def _landmark_bounds(land, x, y, floor):
+    """Per source s < n - 1: the largest bound and the Dijkstra limit.
+
+    land holds the landmark rows.  The bound of a pair ``(s, t > s)`` is
+    ``(1 + _SLACK) * (d(k, s) + d(k, t)) / |st|`` with k the landmark
+    nearest to s; the limit is the largest ``(1 + _SLACK) * (d(k, s) +
+    d(k, t))`` over the pairs whose bound reaches floor (0 if none does).
+    The bounds are compared squared, since np.hypot costs far more than a
+    product.  A block whose squares could leave the normal float range keeps
+    every pair, so underflow or overflow never prunes one.
+    """
+    n = land.shape[1]
+    # argmin over axis 0 would copy all of land; column slices copy little.
+    near = np.concatenate(
+        [land[:, c:c + 1024].argmin(axis=0) for c in range(0, n, 1024)]
+    )
+    from_near = land[near, np.arange(n)]
+    top = np.empty(n - 1)
+    limit = np.empty(n - 1)
+    near_rows = np.empty((_BLOCK_ROWS, n))
+    buf = np.empty((2, _BLOCK_ROWS * (n - 1)))
+    below = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
+    cut = (floor / (1 + _SLACK)) ** 2
+    for lo in range(0, n - 1, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n - 1)
+        b = hi - lo
+        # Row r is source lo + r and column c is target lo + 1 + c, so the
+        # entries with t <= s are those below[r, c] (c < r).
+        no_pair = below[:b, :b]
+        # Taking whole rows keeps np.take from copying all of land first.
+        np.take(land, near[lo:hi], axis=0, out=near_rows[:b])
+        num = near_rows[:b, lo + 1:]
+        sq, ub = (a[:num.size].reshape(num.shape) for a in buf)
+        num += from_near[lo:hi, None]
+        np.subtract(x[lo:hi, None], x[lo + 1:], out=sq)
+        sq *= sq
+        np.subtract(y[lo:hi, None], y[lo + 1:], out=ub)
+        ub *= ub
+        sq += ub
+        sq[:, :b][no_pair] = 1.0
+        # |st| <= num up to rounding, so these two keep every square normal.
+        if sq.min() >= 2.0**-969 and num.max() <= 2.0**484:
+            np.multiply(num, num, out=ub)
+            ub /= sq
+        else:
+            ub.fill(np.inf)
+        ub[:, :b][no_pair] = -np.inf
+        top[lo:hi] = ub.max(axis=1)
+        np.greater_equal(ub, cut, out=sq)
+        num *= sq
+        limit[lo:hi] = num.max(axis=1)
+    np.sqrt(top, out=top)
+    top *= 1 + _SLACK
+    limit *= 1 + _SLACK
+    return top, limit
 
 
 def _path_length(coords: np.ndarray, path) -> float:

@@ -297,7 +297,7 @@ def _tiling(ps: PointSet, tris: np.ndarray):
         return None
     u, v, _, twin = quads
     hull = twin < 0
-    if not _is_convex_cycle(ps, u[hull].tolist(), v[hull].tolist()):
+    if not _is_convex_cycle(ps, u[hull], v[hull]):
         return None
     return quads
 
@@ -341,25 +341,31 @@ def _edge_quads(tris: np.ndarray):
     return u, v, w, twin
 
 
-def _is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
+def _is_convex_cycle(ps: PointSet, tails: np.ndarray, heads: np.ndarray) -> bool:
     """Whether the edges tails[k] -> heads[k] form one convex ccw polygon.
 
     One cycle through every edge that never turns right, and whose vertices
     rise once and fall once in (x, y) order from the smallest: a closed
     polygon like that winds once around its convex interior.
     """
-    succ = dict(zip(tails, heads))
-    if len(succ) != len(tails) or set(heads) != set(tails):
+    uses = np.bincount(tails, minlength=len(ps))
+    if uses.max() > 1 or (np.bincount(heads, minlength=len(ps)) != uses).any():
         return False
-    pts = ps.points
-    cycle = [min(tails, key=lambda i: (pts[i].x, pts[i].y))]
-    while succ[cycle[-1]] != cycle[0]:
+    x, y = ps.coords.T
+    succ = np.zeros(len(ps), dtype=np.int64)
+    succ[tails] = heads
+    succ = succ.tolist()
+    start = int(tails[np.lexsort((y[tails], x[tails]))[0]])
+    cycle = [start]
+    while succ[cycle[-1]] != start:
         cycle.append(succ[cycle[-1]])
-    xy = [(pts[i].x, pts[i].y) for i in cycle]
-    rises = [p < q for p, q in zip(xy, xy[1:])]
-    if len(cycle) != len(tails) or rises != sorted(rises, reverse=True):
+    if len(cycle) != len(tails):
         return False
     ring = np.array(cycle, dtype=np.int64)
+    cx, cy = x[ring], y[ring]
+    rises = (cx[:-1] < cx[1:]) | ((cx[:-1] == cx[1:]) & (cy[:-1] < cy[1:]))
+    if (rises[1:] & ~rises[:-1]).any():  # a rise after a fall
+        return False
     turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
     return bool((_orientations(ps, turns) >= 0).all())
 

@@ -3,10 +3,11 @@
 Deliberately share no code with the package: rational-arithmetic predicates,
 a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
 enumeration for shortest paths, and the original dense all-pairs dilation
-reduction.  Three exceptions run on the package's exact predicates: the
+reduction.  Four exceptions run on the package's exact predicates: the
 original Bowyer-Watson Delaunay builder, the original validity check, which
-takes its eps=0 candidates from a float-margin band, and the original
-structure check, which counts Euler relations.
+takes its eps=0 candidates from a float-margin band, the original
+structure check, which counts Euler relations, and the original convex-cycle
+test, written with Python lists.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from delaunay_dilation.triangulation import (
     Triangulation,
     TriangulationStructureError,
     ValidityReport,
+    _orientations,
     _structural_check,
     convex_hull,
 )
@@ -571,3 +573,25 @@ def euler_structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, in
             f"n={n} h={h} triangles={n_tri} edges={n_edge} boundary={len(boundary)}"
         )
     return normalized
+
+
+# --------------------------------------------------------------------------
+# The original convex-cycle test of the tiling check, on Python lists; the
+# package's version makes the same decision with numpy.
+# --------------------------------------------------------------------------
+
+def loop_is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
+    succ = dict(zip(tails, heads))
+    if len(succ) != len(tails) or set(heads) != set(tails):
+        return False
+    pts = ps.points
+    cycle = [min(tails, key=lambda i: (pts[i].x, pts[i].y))]
+    while succ[cycle[-1]] != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    xy = [(pts[i].x, pts[i].y) for i in cycle]
+    rises = [p < q for p, q in zip(xy, xy[1:])]
+    if len(cycle) != len(tails) or rises != sorted(rises, reverse=True):
+        return False
+    ring = np.array(cycle, dtype=np.int64)
+    turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
+    return bool((_orientations(ps, turns) >= 0).all())

@@ -85,7 +85,7 @@ class TestConstruct:
         code = main(
             ["construct", "chew", "--n", "7", "--out-dir", str(tmp_path), "--no-svg"]
         )
-        assert code == 1  # domain failure: bad construction parameters
+        assert code == 2  # bad construction parameters are an input error
 
 
 class TestDilation:

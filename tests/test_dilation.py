@@ -1,21 +1,29 @@
 import dataclasses
+import logging
 import math
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from delaunay_dilation.constructions import (
     ChewSpec,
     ThreeCircleSpec,
+    TwoSemicircleSpec,
     generate_chew,
     generate_three_circle,
+    generate_two_semicircle,
 )
 from delaunay_dilation.dilation import (
     DilationReport,
     EuclideanGraph,
+    _landmark_bounds,
+    _landmarks,
     _path_length,
     graph_from_triangulation,
     max_dilation,
@@ -26,7 +34,12 @@ from delaunay_dilation.dilation import (
 )
 from delaunay_dilation.experiments import UniformSquare, sample
 from delaunay_dilation.geom import GeometryError, dist
-from delaunay_dilation.triangulation import PointSet, Triangulation, delaunay
+from delaunay_dilation.triangulation import (
+    AllCollinearError,
+    PointSet,
+    Triangulation,
+    delaunay,
+)
 from oracles import dense_max_dilation, exhaustive_max_dilation
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -271,28 +284,157 @@ class TestStreamedMatchesDense:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_small_connected_graphs_match_exhaustive(self, data):
-        # Integer coordinates up to 12 keep every distance the same under
-        # numpy's and math's hypot, so ratio ties are exact on both sides.
-        coords = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                min_size=2, max_size=7, unique=True,
-            )
-        )
-        n = len(coords)
-        tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-        extra = data.draw(
-            st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
-        )
-        edges = tuple(sorted(tree | extra))
-        if data.draw(st.booleans()):
-            edges = tuple((v, u) for u, v in reversed(edges))
-        g = EuclideanGraph(points=PointSet.from_coords(coords), edges=edges)
+        coords, g = small_connected_graph(data.draw)
         rep = max_dilation(g, include_pairs=True)
-        oracle_val, oracle_wit = exhaustive_max_dilation(coords, edges)
+        oracle_val, oracle_wit = exhaustive_max_dilation(coords, g.edges)
         assert rep.max_dilation == oracle_val
         assert rep.witness == oracle_wit
-        assert len(rep.pairs) == n * (n - 1) // 2
+        assert len(rep.pairs) == len(coords) * (len(coords) - 1) // 2
+
+
+class TestPrunedMatchesOracles:
+    """Without the pair table, the landmark bounds prune; no bit may change."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_small_connected_graphs_match_exhaustive(self, data):
+        coords, g = small_connected_graph(data.draw)
+        rep = max_dilation(g)
+        oracle_val, oracle_wit = exhaustive_max_dilation(coords, g.edges)
+        assert rep.max_dilation == oracle_val
+        assert rep.witness == oracle_wit
+        assert rep.pairs is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 400), st.integers(0, 2**32 - 1), st.sampled_from([None, 6, 30]))
+    def test_delaunay_graphs_match_dense(self, n, seed, grid):
+        # Grid points have many exactly tied ratios; random ones have none.
+        rng = random.Random(seed)
+        if grid is None:
+            coords = [(rng.random(), rng.random()) for _ in range(n)]
+        else:
+            cells = [(x, y) for x in range(grid) for y in range(grid)]
+            coords = [(float(x), float(y)) for x, y in rng.sample(cells, min(n, len(cells)))]
+        ps = PointSet.from_coords(coords)
+        try:
+            g = graph_from_triangulation(ps, delaunay(ps))
+        except AllCollinearError:
+            return
+        assert max_dilation(g) == dense_report(g, include_pairs=False)
+
+    def test_power_of_two_scale_and_integer_translation(self):
+        # Integer coordinates make every difference exact under an integer
+        # translation, and a power-of-two scale multiplies every rounded
+        # distance, sum and square exactly, so every ratio stays the same.
+        # Scales near 2**-540 and 2**480 push squares out of the normal range.
+        rng = random.Random(23)
+        for _ in range(6):
+            n = rng.randrange(50, 400)
+            base = rng.sample([(x, y) for x in range(64) for y in range(64)], n)
+            ps = PointSet.from_coords(base)
+            rep = max_dilation(graph_from_triangulation(ps, delaunay(ps)))
+            for lo, hi in ((-60, 60), (-560, -520), (470, 490)):
+                k = rng.randrange(lo, hi)
+                tx, ty = rng.randrange(-2**20, 2**20), rng.randrange(-2**20, 2**20)
+                moved = PointSet.from_coords(
+                    [(math.ldexp(x + tx, k), math.ldexp(y + ty, k)) for x, y in base]
+                )
+                got = max_dilation(graph_from_triangulation(moved, delaunay(moved)))
+                assert got.max_dilation == rep.max_dilation
+                assert got.witness == rep.witness
+                assert got.witness_path == rep.witness_path
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform_graph(4000),
+            lambda: construction_graph(
+                generate_two_semicircle(TwoSemicircleSpec(d=0.29, alpha=1.0, n_arc=1000))
+            ),
+            lambda: construction_graph(generate_three_circle(ThreeCircleSpec())),
+        ],
+        ids=["uniform4000", "convex2000", "three-circle"],
+    )
+    def test_large_inputs_match_dense(self, build):
+        g = build()
+        assert max_dilation(g) == dense_report(g, include_pairs=False)
+
+    @pytest.mark.parametrize("shape", ["uniform", "grid", "line", "integer-line"])
+    def test_bounds_cover_every_pair_that_reaches_the_floor(self, shape):
+        # On a path along a line the landmark bound of a pair with the
+        # landmark between its ends is tight: only the slack keeps it.
+        rng = random.Random(shape)
+        n = 300
+        if shape in ("line", "integer-line"):
+            xs = rng.sample(range(10**6), n)
+            if shape == "line":
+                xs = [x * (1 + rng.random()) for x in xs]
+            rng.shuffle(xs)
+            order = sorted(range(n), key=xs.__getitem__)
+            g = EuclideanGraph(
+                points=PointSet.from_coords([(float(x), 0.0) for x in xs]),
+                edges=tuple(zip(order, order[1:])),
+            )
+        elif shape == "grid":
+            ps = PointSet.from_coords(
+                rng.sample([(x, y) for x in range(20) for y in range(20)], n)
+            )
+            g = graph_from_triangulation(ps, delaunay(ps))
+        else:
+            g = uniform_graph(n)
+        x, y = g.points.coords.T
+        full = dijkstra(g._csr, directed=True)
+        land = full[_landmarks(g.points.coords, n // 16)]
+        i, j = np.triu_indices(n, k=1)
+        ratios = full[i, j] / np.hypot(x[i] - x[j], y[i] - y[j])
+        for floor in np.quantile(ratios, [0.0, 0.5, 0.9, 0.99, 1.0], method="lower"):
+            top, limit = _landmark_bounds(land, x, y, floor)
+            assert (ratios <= top[i]).all()
+            reach = ratios >= floor
+            assert (full[i, j][reach] <= limit[i[reach]]).all()
+
+    def test_debug_line_counts_the_pruning(self, caplog):
+        g = uniform_graph(1000)
+        with caplog.at_level(logging.DEBUG, logger="delaunay_dilation.dilation"):
+            max_dilation(g)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "delaunay_dilation.dilation"]
+        assert len(lines) == 1
+        m = re.fullmatch(
+            r"max_dilation n=1000: (\d+) landmarks, (\d+) sources run, (\d+) skipped, "
+            r"(\d+) pairs pruned, (\d+) nodes settled",
+            lines[0],
+        )
+        assert m, lines[0]
+        landmarks, run, skipped, pruned, settled = map(int, m.groups())
+        assert landmarks == 1000 // 16
+        assert 0 < pruned < 1000 * 999 // 2
+        assert run + skipped + landmarks == 999  # vertex 999 is never a source
+        assert landmarks * 1000 <= settled < 1000 * 1000
+
+
+def small_connected_graph(draw):
+    """Points with integer coordinates up to 12 and a random connected graph.
+
+    Integer coordinates keep every distance the same under numpy's and
+    math's hypot, so ratio ties are exact on both sides.
+    """
+    coords = draw(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            min_size=2, max_size=7, unique=True,
+        )
+    )
+    n = len(coords)
+    tree = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    extra = draw(
+        st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    )
+    edges = tuple(sorted(tree | extra))
+    if draw(st.booleans()):
+        edges = tuple((v, u) for u, v in reversed(edges))
+    return coords, EuclideanGraph(points=PointSet.from_coords(coords), edges=edges)
 
 
 def test_max_dilation_memory_below_one_dense_matrix():

@@ -5,7 +5,9 @@ test: every point used, no directed edge twice, and the unpaired edges one
 convex ccw cycle.  ``oracles.euler_structural_check`` is the original check,
 which only counted triangles, edges and boundary edges against the hull.
 Whatever the tiling test accepts, the Euler counts accept too; the reverse
-fails on the pentagram fan, which winds twice around its centre.
+fails on the pentagram fan, which winds twice around its centre.  The
+tiling test's convex-cycle step is checked against its original list-based
+version, ``oracles.loop_is_convex_cycle``.
 """
 
 import numpy as np
@@ -19,11 +21,13 @@ from delaunay_dilation.triangulation import (
     Triangulation,
     TriangulationStructureError,
     _has_exact_cocircularity,
+    _is_convex_cycle,
     _structural_check,
+    convex_hull,
     delaunay,
     is_valid_delaunay,
 )
-from oracles import euler_structural_check
+from oracles import euler_structural_check, loop_is_convex_cycle
 from test_builder import BAD_QHULL
 from test_validity import _flip
 
@@ -59,9 +63,8 @@ def test_double_cover_is_the_known_difference():
     assert not _accepts(_structural_check, ps, t)
 
 
-@st.composite
-def triangulated_sets(draw):
-    """A Delaunay triangulation of a small random or grid set, flipped a few times."""
+def _small_set(draw):
+    """A PointSet of 3 to 12 random points, or of 3 or more 4x4-grid points."""
     n = draw(st.integers(3, 12))
     if draw(st.booleans()):
         coords = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2))
@@ -69,7 +72,13 @@ def triangulated_sets(draw):
     else:
         cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
         pts = [(float(x), float(y)) for x, y in draw(st.lists(cells, min_size=3, max_size=n, unique=True))]
-    ps = PointSet.from_coords(pts)
+    return pts, PointSet.from_coords(pts)
+
+
+@st.composite
+def triangulated_sets(draw):
+    """A Delaunay triangulation of a small random or grid set, flipped a few times."""
+    pts, ps = _small_set(draw)
     try:
         tris = list(delaunay(ps).triangles)
     except AllCollinearError:
@@ -108,3 +117,32 @@ def test_tiling_acceptance_implies_euler_acceptance(case, data):
     t = Triangulation.from_triples(tris)
     if _accepts(_structural_check, ps, t):
         assert _structural_check(ps, t) == euler_structural_check(ps, t)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_convex_cycle_matches_the_list_version(data):
+    # Hull cycles in either direction, rotated, then possibly corrupted; or
+    # a random cycle through a random subset of the points.
+    _, ps = _small_set(data.draw)
+    if data.draw(st.booleans()):
+        ring = convex_hull(ps, keep_collinear=data.draw(st.booleans()))
+        if data.draw(st.booleans()):
+            ring = ring[::-1]
+        k = data.draw(st.integers(0, len(ring) - 1))
+        ring = ring[k:] + ring[:k]
+    else:
+        ring = data.draw(st.lists(st.integers(0, len(ps) - 1), min_size=1, unique=True))
+    tails, heads = list(ring), ring[1:] + ring[:1]
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(tails) - 1))
+        kind = data.draw(st.sampled_from(["drop", "add", "rewire"]))
+        if kind == "drop" and len(tails) > 1:
+            del tails[k], heads[k]
+        elif kind == "add":
+            tails.append(data.draw(st.integers(0, len(ps) - 1)))
+            heads.append(data.draw(st.integers(0, len(ps) - 1)))
+        else:
+            heads[k] = data.draw(st.integers(0, len(ps) - 1))
+    got = _is_convex_cycle(ps, np.array(tails), np.array(heads))
+    assert got == loop_is_convex_cycle(ps, tails, heads)
