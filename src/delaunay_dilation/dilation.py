@@ -9,16 +9,20 @@ limit, or not at all.  It works in three steps.
    csgraph implementation).  A landmark row is the very row the source would
    get in any other run, so its pairs ``(k, t > k)`` give exact ratios, and
    their maximum is a lower bound ``t*`` on the answer.
-2. Landmark bounds.  For each source s with nearest landmark k (by graph
-   distance) the triangle inequality gives ``d(s, t) <= d(k, s) + d(k, t)``
-   (the ALT bound of Goldberg and Harrelson, SODA 2005), so
-   ``(d(k, s) + d(k, t)) / |st|`` bounds the ratio of every pair
-   ``(s, t > s)`` from one stored row.  A pair whose bound, raised by the
-   relative slack ``_SLACK``, is below ``t*`` cannot reach the maximum.  The
-   source keeps the largest bound over its pairs and a distance limit: the
-   largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept pairs.  The
-   bounds are computed in blocks of ``_BLOCK_ROWS`` sources, so they need
-   O(_BLOCK_ROWS * n) memory besides the landmark rows.
+2. Landmark bounds.  For a pair ``(s, t > s)`` and any landmark k the
+   triangle inequality gives ``d(s, t) <= d(k, s) + d(k, t)`` (the ALT
+   bound of Goldberg and Harrelson, SODA 2005), so
+   ``(d(k, s) + d(k, t)) / |st|`` bounds its ratio from stored rows.  A
+   pair whose bound, raised by the relative slack ``_SLACK``, is below
+   ``t*`` cannot reach the maximum.  A first pass bounds every pair through
+   the landmark nearest to s (by graph distance).  The pairs it keeps, a
+   few percent, are refined: their sum becomes the least over that landmark
+   and the ``_REFINE`` landmarks nearest to s and to t, and they are tested
+   again.  The source keeps the largest bound over its pairs and a distance
+   limit: the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept
+   pairs.  The bounds are computed in blocks of ``_BLOCK_ROWS`` sources, so
+   they need O(_BLOCK_ROWS * n) memory besides the landmark rows and the
+   ``_REFINE * n`` nearest-landmark indices.
 3. Bounded rows.  The sources with a kept pair are sorted by their limit
    and run in chunks of ``_BLOCK_ROWS`` with ``dijkstra(limit=...)`` set to
    the chunk's largest limit: sources with similar limits share a chunk, so
@@ -88,6 +92,9 @@ log = logging.getLogger(__name__)
 _LANDMARK_SPACING = 16
 # Sources per bound block and per bounded Dijkstra chunk.
 _BLOCK_ROWS = 64
+# Landmarks nearest to each end that refine the bound of a pair kept by the
+# nearest landmark of its source.
+_REFINE = 4
 # Relative slack on the landmark bounds and limits; see the module docstring.
 _SLACK = 1e-9
 
@@ -239,8 +246,9 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     todo[marks[marks < n - 1]] = False
     if include_pairs or n * 2.0**-52 > _SLACK / 4:
         top = limit = np.full(n - 1, np.inf)
+        refined = kept = 0
     else:
-        top, limit = _landmark_bounds(land, x, y, best[0])
+        top, limit, refined, kept = _landmark_bounds(land, x, y, best[0])
     del land
     sources = np.flatnonzero(todo & (top >= best[0]))
     sources = sources[np.argsort(limit[sources], kind="stable")]
@@ -259,9 +267,10 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
         reduced += count
     log.debug(
         "max_dilation n=%d: %d landmarks, %d sources run, %d skipped, "
-        "%d pairs pruned, %d nodes settled",
+        "%d pairs pruned, %d pairs refined, %d kept after refinement, "
+        "%d nodes settled",
         n, len(marks), run, int(np.count_nonzero(todo)) - run,
-        n * (n - 1) // 2 - reduced, settled,
+        n * (n - 1) // 2 - reduced, refined, kept, settled,
     )
 
     _, wi, wj = best
@@ -329,33 +338,43 @@ def _landmark_bounds(land, x, y, floor):
     """Per source s < n - 1: the largest bound and the Dijkstra limit.
 
     land holds the landmark rows.  The bound of a pair ``(s, t > s)`` is
-    ``(1 + _SLACK) * (d(k, s) + d(k, t)) / |st|`` with k the landmark
-    nearest to s; the limit is the largest ``(1 + _SLACK) * (d(k, s) +
-    d(k, t))`` over the pairs whose bound reaches floor (0 if none does).
-    The bounds are compared squared, since np.hypot costs far more than a
-    product.  A block whose squares could leave the normal float range keeps
-    every pair, so underflow or overflow never prunes one.
+    ``(1 + _SLACK) * (d(k, s) + d(k, t)) / |st|`` for a landmark k: first
+    the landmark nearest to s, and for the pairs whose bound reaches floor
+    the best of that one and the ``_REFINE`` landmarks nearest to s and to
+    t.  The limit is the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over
+    the pairs whose final bound reaches floor (0 if none does).  The bounds
+    are compared squared, since np.hypot costs far more than a product.  A
+    block whose squares could leave the normal float range keeps every pair
+    unrefined, so underflow or overflow never prunes one.  Also returns the
+    number of pairs refined and the number of those still kept.
     """
-    n = land.shape[1]
+    m, n = land.shape
+    near = np.empty(n, dtype=np.intp)
+    nears = np.empty((min(_REFINE, m), n), dtype=np.intp)
     # argmin over axis 0 would copy all of land; column slices copy little.
-    near = np.concatenate(
-        [land[:, c:c + 1024].argmin(axis=0) for c in range(0, n, 1024)]
-    )
+    for c in range(0, n, 256):
+        cols = land[:, c:c + 256]
+        near[c:c + 256] = cols.argmin(axis=0)
+        part = np.argpartition(cols, len(nears) - 1, axis=0)
+        nears[:, c:c + 256] = part[:len(nears)]
     from_near = land[near, np.arange(n)]
+    flat = land.ravel()  # a view: the rows come C-contiguous from dijkstra
     top = np.empty(n - 1)
     limit = np.empty(n - 1)
     near_rows = np.empty((_BLOCK_ROWS, n))
     buf = np.empty((2, _BLOCK_ROWS * (n - 1)))
     below = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
     cut = (floor / (1 + _SLACK)) ** 2
+    refined = kept = 0
     for lo in range(0, n - 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n - 1)
         b = hi - lo
         # Row r is source lo + r and column c is target lo + 1 + c, so the
         # entries with t <= s are those below[r, c] (c < r).
         no_pair = below[:b, :b]
-        # Taking whole rows keeps np.take from copying all of land first.
-        np.take(land, near[lo:hi], axis=0, out=near_rows[:b])
+        # Taking whole rows keeps np.take from copying all of land first,
+        # and mode="clip" (the indices are valid) from buffering the output.
+        np.take(land, near[lo:hi], axis=0, out=near_rows[:b], mode="clip")
         num = near_rows[:b, lo + 1:]
         sq, ub = (a[:num.size].reshape(num.shape) for a in buf)
         num += from_near[lo:hi, None]
@@ -369,17 +388,33 @@ def _landmark_bounds(land, x, y, floor):
         if sq.min() >= 2.0**-969 and num.max() <= 2.0**484:
             np.multiply(num, num, out=ub)
             ub /= sq
+            ub[:, :b][no_pair] = -np.inf
+            # Refine the pairs the nearest landmark keeps: every landmark's
+            # sum bounds d(s, t) by the same argument, so take the least.
+            r, c = np.nonzero(ub >= cut)
+            s, t = r + lo, c + lo + 1
+            sums = num[r, c]
+            for row in nears:
+                for k in (row[s], row[t]):
+                    k *= n
+                    np.minimum(sums, flat[k + s] + flat[k + t], out=sums)
+            ub[r, c] = bound = sums * sums / sq[r, c]
+            keep = bound >= cut
+            refined += len(keep)
+            kept += int(np.count_nonzero(keep))
+            # Only refined pairs can still reach floor.
+            limit[lo:hi] = 0.0
+            np.maximum.at(limit, s[keep], sums[keep])
         else:
             ub.fill(np.inf)
-        ub[:, :b][no_pair] = -np.inf
+            ub[:, :b][no_pair] = -np.inf
+            num[:, :b][no_pair] = 0.0
+            limit[lo:hi] = num.max(axis=1)
         top[lo:hi] = ub.max(axis=1)
-        np.greater_equal(ub, cut, out=sq)
-        num *= sq
-        limit[lo:hi] = num.max(axis=1)
     np.sqrt(top, out=top)
     top *= 1 + _SLACK
     limit *= 1 + _SLACK
-    return top, limit
+    return top, limit, refined, kept
 
 
 def _path_length(coords: np.ndarray, path) -> float:

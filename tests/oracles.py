@@ -459,8 +459,10 @@ def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
     den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
     b2 = (b * b).sum(axis=1)
     c2 = (c * c).sum(axis=1)
-    ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
-    uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
+    # A degenerate triangle has den == 0 and gets a centre that is not finite.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
+        uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
     centers = a + np.stack([ux, uy], axis=1)
     radii = np.hypot(ux, uy)
     return centers, radii
@@ -487,14 +489,16 @@ def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> 
     block = 512
     for lo in range(0, len(tris), block):
         hi = min(lo + block, len(tris))
-        # margins = (r - |p - center|) / r, computed in place.
+        # margins = (r - |p - center|) / r, computed in place.  A centre that
+        # is not finite gives inf - inf = nan, and nan is never a hit.
         diff = coords[None, :, :] - centers[lo:hi, None, :]
         np.square(diff, out=diff)
         margins = diff.sum(axis=2)
         del diff
         np.sqrt(margins, out=margins)
-        np.subtract(radii[lo:hi, None], margins, out=margins)
-        np.divide(margins, radii[lo:hi, None], out=margins)
+        with np.errstate(invalid="ignore"):
+            np.subtract(radii[lo:hi, None], margins, out=margins)
+            np.divide(margins, radii[lo:hi, None], out=margins)
         for k in range(3):
             margins[np.arange(hi - lo), tris[lo:hi, k]] = -np.inf
         hits = margins > threshold

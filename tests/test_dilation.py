@@ -20,6 +20,7 @@ from delaunay_dilation.constructions import (
     generate_two_semicircle,
 )
 from delaunay_dilation.dilation import (
+    _SLACK,
     DilationReport,
     EuclideanGraph,
     _landmark_bounds,
@@ -32,7 +33,13 @@ from delaunay_dilation.dilation import (
     report_to_json,
     shortest_path,
 )
-from delaunay_dilation.experiments import UniformSquare, sample
+from delaunay_dilation.experiments import (
+    Gaussian,
+    Mixture,
+    UniformDisk,
+    UniformSquare,
+    sample,
+)
 from delaunay_dilation.geom import GeometryError, dist
 from delaunay_dilation.triangulation import (
     AllCollinearError,
@@ -360,39 +367,32 @@ class TestPrunedMatchesOracles:
         g = build()
         assert max_dilation(g) == dense_report(g, include_pairs=False)
 
-    @pytest.mark.parametrize("shape", ["uniform", "grid", "line", "integer-line"])
+    @pytest.mark.parametrize(
+        "shape",
+        ["uniform", "grid", "line", "integer-line", "chew64", "convex120",
+         "three-circle-20", "mixture"],
+    )
     def test_bounds_cover_every_pair_that_reaches_the_floor(self, shape):
         # On a path along a line the landmark bound of a pair with the
         # landmark between its ends is tight: only the slack keeps it.
-        rng = random.Random(shape)
-        n = 300
-        if shape in ("line", "integer-line"):
-            xs = rng.sample(range(10**6), n)
-            if shape == "line":
-                xs = [x * (1 + rng.random()) for x in xs]
-            rng.shuffle(xs)
-            order = sorted(range(n), key=xs.__getitem__)
-            g = EuclideanGraph(
-                points=PointSet.from_coords([(float(x), 0.0) for x in xs]),
-                edges=tuple(zip(order, order[1:])),
-            )
-        elif shape == "grid":
-            ps = PointSet.from_coords(
-                rng.sample([(x, y) for x in range(20) for y in range(20)], n)
-            )
-            g = graph_from_triangulation(ps, delaunay(ps))
-        else:
-            g = uniform_graph(n)
+        g = bound_shape(shape)
+        n = len(g.points)
         x, y = g.points.coords.T
         full = dijkstra(g._csr, directed=True)
         land = full[_landmarks(g.points.coords, n // 16)]
         i, j = np.triu_indices(n, k=1)
         ratios = full[i, j] / np.hypot(x[i] - x[j], y[i] - y[j])
         for floor in np.quantile(ratios, [0.0, 0.5, 0.9, 0.99, 1.0], method="lower"):
-            top, limit = _landmark_bounds(land, x, y, floor)
+            top, limit, refined, kept = _landmark_bounds(land, x, y, floor)
             assert (ratios <= top[i]).all()
             reach = ratios >= floor
             assert (full[i, j][reach] <= limit[i[reach]]).all()
+            # The refinement takes the least over landmarks that include the
+            # nearest one, so it never loosens a bound.
+            near_top, near_limit, near_kept = nearest_landmark_bounds(land, x, y, floor)
+            assert (top <= near_top).all()
+            assert (limit <= near_limit).all()
+            assert kept <= refined == near_kept
 
     def test_debug_line_counts_the_pruning(self, caplog):
         g = uniform_graph(1000)
@@ -403,15 +403,85 @@ class TestPrunedMatchesOracles:
         assert len(lines) == 1
         m = re.fullmatch(
             r"max_dilation n=1000: (\d+) landmarks, (\d+) sources run, (\d+) skipped, "
-            r"(\d+) pairs pruned, (\d+) nodes settled",
+            r"(\d+) pairs pruned, (\d+) pairs refined, (\d+) kept after refinement, "
+            r"(\d+) nodes settled",
             lines[0],
         )
         assert m, lines[0]
-        landmarks, run, skipped, pruned, settled = map(int, m.groups())
+        landmarks, run, skipped, pruned, refined, kept, settled = map(int, m.groups())
         assert landmarks == 1000 // 16
         assert 0 < pruned < 1000 * 999 // 2
         assert run + skipped + landmarks == 999  # vertex 999 is never a source
-        assert landmarks * 1000 <= settled < 1000 * 1000
+        assert landmarks * 1000 <= settled < 300_000
+        # The first pass keeps the pairs whose nearest-landmark bound reaches
+        # the best ratio of the landmark rows; refinement drops most of them.
+        x, y = g.points.coords.T
+        marks = _landmarks(g.points.coords, landmarks)
+        land = dijkstra(g._csr, directed=True, indices=marks)
+        t = np.arange(1000)
+        floor = max(
+            (row[t > k] / np.hypot(x[k] - x[t > k], y[k] - y[t > k])).max()
+            for k, row in zip(marks, land)
+        )
+        first_pass = nearest_landmark_bounds(land, x, y, floor)[2]
+        assert 0 < kept < refined <= first_pass
+
+
+def bound_shape(shape):
+    """A graph for the bound-cover property, 64 to 300 vertices."""
+    rng = random.Random(shape)
+    n = 300
+    if shape in ("line", "integer-line"):
+        xs = rng.sample(range(10**6), n)
+        if shape == "line":
+            xs = [x * (1 + rng.random()) for x in xs]
+        rng.shuffle(xs)
+        order = sorted(range(n), key=xs.__getitem__)
+        return EuclideanGraph(
+            points=PointSet.from_coords([(float(x), 0.0) for x in xs]),
+            edges=tuple(zip(order, order[1:])),
+        )
+    if shape == "grid":
+        ps = PointSet.from_coords(
+            rng.sample([(x, y) for x in range(20) for y in range(20)], n)
+        )
+        return graph_from_triangulation(ps, delaunay(ps))
+    if shape == "chew64":
+        return construction_graph(generate_chew(ChewSpec(64)))
+    if shape == "convex120":
+        return construction_graph(
+            generate_two_semicircle(TwoSemicircleSpec(d=0.29, alpha=1.0, n_arc=60))
+        )
+    if shape == "three-circle-20":
+        return construction_graph(generate_three_circle(ThreeCircleSpec(arc_density=20.0)))
+    if shape == "mixture":
+        density = Mixture(
+            (Gaussian((0.0, 0.0), 0.05), UniformDisk((2.0, 1.0), 0.5), UniformSquare()),
+            (0.4, 0.3, 0.3),
+        )
+        ps = sample(density, n, seed=7)
+        return graph_from_triangulation(ps, delaunay(ps))
+    return uniform_graph(n)
+
+
+def nearest_landmark_bounds(land, x, y, floor):
+    """Top, limit and kept-pair count of the nearest-landmark bound alone.
+
+    Dense over all pairs, with the float operations of the first pass of
+    ``_landmark_bounds`` in the same order, so the values are bit-identical.
+    """
+    n = land.shape[1]
+    near = land.argmin(axis=0)
+    s, t = np.triu_indices(n, k=1)
+    num = land[near[s], t] + land[near[s], s]
+    dx, dy = x[s] - x[t], y[s] - y[t]
+    ub = num * num / (dx * dx + dy * dy)
+    keep = ub >= (floor / (1 + _SLACK)) ** 2
+    top = np.full(n - 1, -np.inf)
+    np.maximum.at(top, s, ub)
+    limit = np.zeros(n - 1)
+    np.maximum.at(limit, s[keep], num[keep])
+    return np.sqrt(top) * (1 + _SLACK), limit * (1 + _SLACK), int(keep.sum())
 
 
 def small_connected_graph(draw):

@@ -25,7 +25,7 @@ from delaunay_dilation.triangulation import (
     triangulation_from_json,
     triangulation_to_json,
 )
-from oracles import delaunay_flip_oracle
+from oracles import delaunay_flip_oracle, incircle_frac, orient_frac
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -288,12 +288,101 @@ class TestMakeUnique:
         )
         assert delaunay(moved).triangles == chew16.triangulation.triangles
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_near_cocircular_targets_realized_or_refused(self, data):
+        # Grid subsets have exactly cocircular quads, whose diagonal is a free
+        # choice; points on a circle have quads that miss cocircularity by a
+        # rounding error, so flipping one makes a target that may be out of
+        # reach.  Either way the result is the target, strictly Delaunay, or
+        # RealizationError.
+        coords = data.draw(near_cocircular_coords())
+        ps = PointSet.from_coords(coords)
+        try:
+            target = delaunay(ps)
+        except AllCollinearError:
+            return
+        tris = [list(t) for t in target.triangles]
+        for _ in range(data.draw(st.integers(0, 4))):
+            quads = flippable_quads(coords, tris)
+            if not quads:
+                break
+            (i, j), (u, v, w1, w2) = data.draw(st.sampled_from(quads))
+            tris[i], tris[j] = [u, w2, w1], [v, w1, w2]
+        target = Triangulation.from_triples(tris)
+        try:
+            moved = make_unique_delaunay(ps, target, budget=1e-6)
+        except RealizationError:
+            return
+        assert delaunay(moved).triangles == target.triangles
+        assert max(dist(p, q) for p, q in zip(ps, moved)) <= 1e-6
+        pts = [(p.x, p.y) for p in moved]
+        for _, (u, v, w1, w2) in interior_edges(target.triangles):
+            assert incircle_frac(pts[u], pts[v], pts[w1], pts[w2]) < 0
+
     def test_impossible_target_raises(self):
         # Non-Delaunay diagonal of a quad with no cocircular freedom.
         ps = PointSet.from_coords([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
         bad = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
         with pytest.raises(RealizationError):
             make_unique_delaunay(ps, bad, budget=1e-9)
+
+
+@st.composite
+def near_cocircular_coords(draw):
+    """A subset of a small integer grid, or points on one or two circles."""
+    if draw(st.booleans()):
+        k = draw(st.integers(3, 5))
+        cells = [(x, y) for x in range(k) for y in range(k)]
+        return draw(
+            st.lists(st.sampled_from(cells), min_size=4, max_size=12, unique=True)
+        )
+    m = draw(st.integers(4, 12))
+    radius = draw(st.sampled_from([1.0, 3.0, 1e-3, 1e3]))
+    cx, cy = draw(st.sampled_from([(0.0, 0.0), (0.5, -2.0), (1e3, 7.0)]))
+    steps = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=m, unique=True))
+    rim = [
+        (radius * math.cos(2 * math.pi * s / m), radius * math.sin(2 * math.pi * s / m))
+        for s in steps
+    ]
+    extra = draw(st.sampled_from(["none", "centre", "inner"]))
+    if extra == "centre":
+        rim.append((0.0, 0.0))
+    elif extra == "inner":
+        rim += [(0.5 * x, 0.5 * y) for x, y in rim]
+    return list(dict.fromkeys((cx + x, cy + y) for x, y in rim))
+
+
+def interior_edges(triangles):
+    """((i, j), (u, v, w1, w2)) per edge u-v of ccw triangles i = (u, v, w1)
+    and j = (v, u, w2)."""
+    third = {}
+    for i, (a, b, c) in enumerate(triangles):
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            third[u, v] = (i, w)
+    return [
+        ((i, third[v, u][0]), (u, v, w1, third[v, u][1]))
+        for (u, v), (i, w1) in third.items()
+        if u < v and (v, u) in third
+    ]
+
+
+def flippable_quads(coords, triangles):
+    """Interior edges whose quad is strictly convex and cocircular to within
+    a relative 1e-9 in floats (exactly cocircular on grid points)."""
+    out = []
+    for ij, (u, v, w1, w2) in interior_edges(triangles):
+        a, b, c, d = (coords[k] for k in (u, v, w1, w2))
+        if orient_frac(a, d, c) <= 0 or orient_frac(b, c, d) <= 0:
+            continue
+        pts = np.array([a, b, c, d], dtype=float)
+        rel = pts - pts[3]
+        lift = (rel * rel).sum(axis=1)
+        det = np.linalg.det(np.column_stack([rel[:3], lift[:3]]))
+        scale = float(np.abs(rel[:3]).max()) ** 4 or 1.0
+        if abs(det) <= 1e-9 * scale:
+            out.append((ij, (u, v, w1, w2)))
+    return out
 
 
 class TestConvexHull:
