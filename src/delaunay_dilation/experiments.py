@@ -22,10 +22,9 @@ from .triangulation import (
     AllCollinearError,
     PointSet,
     Triangulation,
-    _has_exact_cocircularity,
     _mix_seed,
+    _StabilityTrials,
     delaunay,
-    stability_check,
 )
 
 __all__ = [
@@ -321,7 +320,8 @@ def invariance_check(ps: PointSet, a: float, b: tuple[float, float], seed: int) 
     if a == 0:
         raise ValueError("scale factor must be nonzero")
     tri = delaunay(ps)
-    if _has_exact_cocircularity(ps, tri):
+    trials = _StabilityTrials(ps, tri)
+    if trials.cocircular:
         raise GeometryError(
             "point set has cocircular ties; perturb it before checking invariance"
         )
@@ -329,7 +329,7 @@ def invariance_check(ps: PointSet, a: float, b: tuple[float, float], seed: int) 
         max(p.x for p in ps) - min(p.x for p in ps),
         max(p.y for p in ps) - min(p.y for p in ps),
     )
-    if not stability_check(ps, tri, delta=1e-12 * span, trials=2, seed=seed):
+    if not trials.stable(delta=1e-12 * span, trials=2, seed=seed):
         raise GeometryError(
             "point set is unstable under tiny perturbation; perturb it first"
         )
@@ -349,7 +349,11 @@ def find_stable_radius(
 ) -> float:
     """Half the largest perturbation radius that passes stability_check.
 
-    Halving search from a fraction of the smallest pairwise distance.
+    Halving search from a fraction of the smallest pairwise distance.  What
+    every radius's trials share (the exact-cocircularity answer and the
+    certificate's target arrays) is built once.  Logs one debug line with
+    the radii tried, the trials run, the trials the certificate decided and
+    those that fell back to rebuilding with delaunay.
     """
     if tri is None:
         tri = delaunay(ps)
@@ -357,8 +361,17 @@ def find_stable_radius(
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     delta = 0.25 * math.sqrt(float(d2.min()))
-    for _ in range(60):
-        if stability_check(ps, tri, delta, trials, seed):
-            return delta / 2.0
-        delta /= 2.0
-    raise GeometryError("no stable perturbation radius found")
+    checks = _StabilityTrials(ps, tri)
+    radii = 0
+    try:
+        for radii in range(1, 61):
+            if checks.stable(delta, trials, seed):
+                return delta / 2.0
+            delta /= 2.0
+        raise GeometryError("no stable perturbation radius found")
+    finally:
+        log.debug(
+            "find_stable_radius n=%d: %d radii tried, %d trials run, "
+            "%d certified, %d rebuilt",
+            len(ps), radii, checks.run, checks.certified, checks.rebuilt,
+        )

@@ -28,6 +28,7 @@ from .geom import (
     Point2,
     Sign,
     _incircle_float,
+    _orient2d_exact,
     _orient2d_float,
     dist,
     incircle,
@@ -95,7 +96,7 @@ class PointSet:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64)
+        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64).reshape(-1, 2)
 
 
 def _canonical_triple(t) -> tuple[int, int, int]:
@@ -235,13 +236,22 @@ def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
         return np.where(np.abs(det) > bound, np.sign(det), 0.0).astype(np.int8)
 
 
-def _orientations(ps: PointSet, tris: np.ndarray) -> np.ndarray:
+def _orientations(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """orient2d of each row: the float filter, then the exact predicate."""
-    signs = _filter_signs(_orient2d_float, ps.coords, *tris.T)
-    pts = ps.points
+    signs = _filter_signs(_orient2d_float, coords, *tris.T)
     for k in np.flatnonzero(signs == 0).tolist():
-        a, b, c = tris[k].tolist()
-        signs[k] = orient2d(pts[a], pts[b], pts[c])
+        signs[k] = _orient2d_exact(*(Point2(*coords[i].tolist()) for i in tris[k]))
+    return signs
+
+
+def _incircle_signs(coords: np.ndarray, u, v, w, x) -> np.ndarray:
+    """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
+    then ``geom.ExactIncircle`` on the rows it cannot certify."""
+    signs = _filter_signs(_incircle_float, coords, u, v, w, x)
+    unsure = np.flatnonzero(signs == 0)
+    if unsure.size:
+        exact = ExactIncircle(coords, np.stack([u[unsure], v[unsure], w[unsure]], axis=1))
+        signs[unsure] = exact.signs(np.arange(unsure.size), x[unsure])
     return signs
 
 
@@ -253,7 +263,7 @@ def _qhull_triangles(ps: PointSet) -> np.ndarray | None:
         tris = Delaunay(ps.coords).simplices.astype(np.int64)
     except QhullError:
         return None
-    signs = _orientations(ps, tris)
+    signs = _orientations(ps.coords, tris)
     if (signs == 0).any():
         return None
     tris[signs < 0] = tris[signs < 0][:, ::-1]
@@ -342,32 +352,44 @@ def _edge_quads(tris: np.ndarray):
 
 
 def _is_convex_cycle(ps: PointSet, tails: np.ndarray, heads: np.ndarray) -> bool:
-    """Whether the edges tails[k] -> heads[k] form one convex ccw polygon.
+    """Whether the edges tails[k] -> heads[k] form one convex ccw polygon."""
+    ring = _ring(tails, heads, len(ps))
+    return ring is not None and _ring_sign(ps.coords, ring) >= 0
 
-    One cycle through every edge that never turns right, and whose vertices
-    rise once and fall once in (x, y) order from the smallest: a closed
-    polygon like that winds once around its convex interior.
-    """
-    uses = np.bincount(tails, minlength=len(ps))
-    if uses.max() > 1 or (np.bincount(heads, minlength=len(ps)) != uses).any():
-        return False
-    x, y = ps.coords.T
-    succ = np.zeros(len(ps), dtype=np.int64)
+
+def _ring(tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray | None:
+    """The vertices of the one cycle through every edge tails[k] -> heads[k],
+    in order from tails[0]; None unless the edges form one cycle."""
+    uses = np.bincount(tails, minlength=n)
+    if not len(tails) or uses.max() > 1 or (np.bincount(heads, minlength=n) != uses).any():
+        return None
+    succ = np.zeros(n, dtype=np.int64)
     succ[tails] = heads
     succ = succ.tolist()
-    start = int(tails[np.lexsort((y[tails], x[tails]))[0]])
+    start = int(tails[0])
     cycle = [start]
     while succ[cycle[-1]] != start:
         cycle.append(succ[cycle[-1]])
     if len(cycle) != len(tails):
-        return False
-    ring = np.array(cycle, dtype=np.int64)
-    cx, cy = x[ring], y[ring]
+        return None
+    return np.array(cycle, dtype=np.int64)
+
+
+def _ring_sign(coords: np.ndarray, ring: np.ndarray) -> int:
+    """+1 if the polygon through ring is strictly convex and ccw, 0 if it
+    is convex only up to collinear turns, else -1.
+
+    A closed polygon whose vertices rise once and fall once in (x, y) order
+    from the smallest, and that never turns right, winds once around its
+    convex interior.
+    """
+    ring = np.roll(ring, -int(np.lexsort(coords[ring].T[::-1])[0]))
+    cx, cy = coords[ring].T
     rises = (cx[:-1] < cx[1:]) | ((cx[:-1] == cx[1:]) & (cy[:-1] < cy[1:]))
     if (rises[1:] & ~rises[:-1]).any():  # a rise after a fall
-        return False
+        return -1
     turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
-    return bool((_orientations(ps, turns) >= 0).all())
+    return int(_orientations(coords, turns).min())
 
 
 def _legalize(ps: PointSet, opp: dict, suspects: list) -> set:
@@ -488,7 +510,7 @@ def _structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, int, in
             raise TriangulationStructureError(f"index out of range in triangle {tri}")
 
     tris = np.array(t.triangles, dtype=np.int64)
-    signs = _orientations(ps, tris)
+    signs = _orientations(ps.coords, tris)
     if (signs == 0).any():
         tri = t.triangles[np.flatnonzero(signs == 0)[0]]
         raise TriangulationStructureError(f"degenerate triangle {tri}")
@@ -591,24 +613,38 @@ def perturb(ps: PointSet, delta: float, seed: int) -> PointSet:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return ps
+    return PointSet.from_coords(_perturbed_coords(ps.coords, delta, seed))
+
+
+def _perturbed_coords(coords: np.ndarray, delta: float, seed: int) -> np.ndarray:
+    """The coordinates perturb gives, as an (n, 2) array.
+
+    ``math.cos`` and ``math.sin`` are applied per element: numpy's
+    vectorised versions may round differently, and the moved points must
+    not depend on the numpy build.
+    """
     rng = np.random.default_rng(seed)
-    n = len(ps)
+    n = len(coords)
     radii = delta * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(n)
-    out = []
-    for p, r, a in zip(ps, radii, angles):
-        out.append(Point2(p.x + r * math.cos(a), p.y + r * math.sin(a)))
-    return PointSet(tuple(out))
+    angles = (2.0 * math.pi * rng.random(n)).tolist()
+    cos = np.fromiter(map(math.cos, angles), np.float64, n)
+    sin = np.fromiter(map(math.sin, angles), np.float64, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([coords[:, 0] + radii * cos, coords[:, 1] + radii * sin], axis=1)
+
+
+def _distinct_finite(coords: np.ndarray) -> bool:
+    """Whether the rows of coords are finite and distinct, as PointSet needs."""
+    if not np.isfinite(coords).all():
+        return False
+    rows = coords[np.lexsort(coords.T[::-1])]
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
 
 
 def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
-    """Whether the two triangles at some interior edge are exactly cocircular.
-
-    The float filter of ``geom.incircle`` clears the edges it can; the rest
-    are decided by ``geom.ExactIncircle``.
-    """
+    """Whether the two triangles at some interior edge are exactly cocircular."""
     tris = np.array(t.triangles, dtype=np.int64).reshape(-1, 3)
-    signs = _orientations(ps, tris)
+    signs = _orientations(ps.coords, tris)
     if (signs == 0).any():
         raise CollinearPointsError("incircle needs a non-degenerate triangle")
     tris[signs < 0] = tris[signs < 0][:, ::-1]
@@ -617,33 +653,126 @@ def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
         raise TriangulationStructureError("a directed edge is used twice")
     u, v, w, twin = quads
     inner = np.flatnonzero((twin >= 0) & (u < v))
-    quads = (u[inner], v[inner], w[inner], w[twin[inner]])
-    unsure = _filter_signs(_incircle_float, ps.coords, *quads) == 0
-    if not unsure.any():
+    signs = _incircle_signs(ps.coords, u[inner], v[inner], w[inner], w[twin[inner]])
+    return bool((signs == 0).any())
+
+
+def _target_arrays(t: Triangulation, n: int):
+    """What ``_delaunay_certificate`` reads of target t over n points.
+
+    These are t's triples as given, its hull ring and its interior edges as
+    rows (u, v, w, x): u->v in triangle (u, v, w), x across the edge.  None
+    when t is no Delaunay triangulation of any n distinct points, whatever
+    their coordinates: it is empty or not canonically ordered, misses a
+    point, repeats a directed edge, or its unpaired edges are not one cycle.
+    """
+    tris = np.array(t.triangles, dtype=np.int64).reshape(-1, 3)
+    if (
+        not len(tris)
+        or tris.min() < 0
+        or tris.max() >= n
+        or Triangulation.from_triples(t.triangles).triangles != t.triangles
+        or np.bincount(tris.ravel(), minlength=n).min() == 0
+    ):
+        return None
+    quads = _edge_quads(tris)
+    if quads is None:
+        return None
+    u, v, w, twin = quads
+    hull = twin < 0
+    ring = _ring(u[hull], v[hull], n)
+    if ring is None:
+        return None
+    inner = np.flatnonzero((twin >= 0) & (u < v))
+    return tris, ring, (u[inner], v[inner], w[inner], w[twin[inner]])
+
+
+def _delaunay_certificate(coords: np.ndarray, target) -> int:
+    """Whether delaunay of the distinct points coords gives the target's
+    triangles: +1 yes, -1 no, 0 undecided.
+
+    target is ``_target_arrays(t, n)``.  +1 needs every triple strictly ccw,
+    the hull ring strictly convex and every interior edge strictly legal.
+    The triangles then tile the hull once (the ring winds once around it)
+    and, by the Delaunay lemma, every circumcircle is strictly empty, so t
+    is the one Delaunay triangulation.  -1 follows from a flat or cw
+    triple, a ring that is not convex or a strictly illegal edge, none of
+    which a Delaunay triangulation has.  Any other exact zero gives 0.
+    """
+    if target is None:
+        return -1
+    tris, ring, quads = target
+    if _orientations(coords, tris).min() <= 0:
+        return -1
+    hull = _ring_sign(coords, ring)
+    if hull < 0:
+        return -1
+    legal = _incircle_signs(coords, *quads)
+    if (legal > 0).any():
+        return -1
+    return 0 if hull == 0 or (legal == 0).any() else 1
+
+
+def _rebuilds(ps: PointSet, triangles) -> bool:
+    """Whether delaunay(ps) has exactly these triangles."""
+    try:
+        return delaunay(ps).triangles == triangles
+    except GeometryError:
         return False
-    u, v, w, x = (a[unsure] for a in quads)
-    exact = ExactIncircle(ps.coords, np.stack([u, v, w], axis=1))
-    return bool((exact.signs(np.arange(len(x)), x) == 0).any())
+
+
+class _StabilityTrials:
+    """The perturbation trials of ``stability_check`` for one (ps, t).
+
+    What the trials share is built once: the exact-cocircularity answer and
+    the certificate's target arrays.  Counts the trials run, those the
+    certificate decided, and those decided by rebuilding with delaunay.
+    """
+
+    def __init__(self, ps: PointSet, t: Triangulation):
+        self.ps, self.triangles = ps, t.triangles
+        self.cocircular = _has_exact_cocircularity(ps, t)
+        self.target = _target_arrays(t, len(ps))
+        self.run = self.certified = self.rebuilt = 0
+
+    def stable(self, delta: float, trials: int, seed: int) -> bool:
+        """``stability_check(ps, t, delta, trials, seed)``."""
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        if self.cocircular:
+            return False
+        for trial in range(trials):
+            coords = _perturbed_coords(self.ps.coords, delta, _mix_seed(seed, trial))
+            if not _distinct_finite(coords):
+                PointSet.from_coords(coords)  # raises the GeometryError perturb would
+            self.run += 1
+            verdict = _delaunay_certificate(coords, self.target)
+            if verdict:
+                self.certified += 1
+                kept = verdict > 0
+            else:
+                self.rebuilt += 1
+                kept = _rebuilds(PointSet.from_coords(coords), self.triangles)
+            if not kept:
+                return False
+        return True
 
 
 def stability_check(
     ps: PointSet, t: Triangulation, delta: float, trials: int, seed: int
 ) -> bool:
-    """True iff every radius-delta perturbation trial keeps the triangle set."""
+    """True iff every radius-delta perturbation trial keeps the triangle set.
+
+    A trial moves the points as ``perturb`` does and keeps the set when
+    delaunay of the moved points returns t's triangles exactly.  An exactly
+    cocircular edge of t fails every trial.  Each trial is decided by
+    ``_delaunay_certificate`` with exact predicates; delaunay is rebuilt
+    only when the certificate meets an exact zero.  A trial whose moved
+    points repeat or are not finite raises GeometryError, as perturb does.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if _has_exact_cocircularity(ps, t):
-        return False
-    target = t.triangles
-    for trial in range(trials):
-        moved = perturb(ps, delta, seed=_mix_seed(seed, trial))
-        try:
-            got = delaunay(moved)
-        except GeometryError:
-            return False
-        if got.triangles != target:
-            return False
-    return True
+    return _StabilityTrials(ps, t).stable(delta, trials, seed)
 
 
 def _mix_seed(*parts: int) -> int:
@@ -658,12 +787,21 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     which way cocircular groups are triangulated.  Weights realizing t as a
     regular (lifted) triangulation are found by linear programming, then the
     points move toward their group's circumcenter by those weights, with
-    shrinking steps until the builder reproduces t exactly.
+    shrinking steps until the builder reproduces t exactly.  Both
+    acceptance tests use ``_delaunay_certificate``; delaunay is rebuilt only
+    when it meets an exact zero.  ps itself is returned when t is already
+    its unique Delaunay triangulation, with no exactly cocircular edge.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     tris = _structural_check(ps, t)
-    if delaunay(ps).triangles == t.triangles and not _has_exact_cocircularity(ps, t):
+    target = _target_arrays(t, len(ps))
+    verdict = _delaunay_certificate(ps.coords, target)
+    if verdict > 0 or (
+        verdict == 0
+        and _rebuilds(ps, t.triangles)
+        and not _has_exact_cocircularity(ps, t)
+    ):
         return ps
 
     clusters = _near_cocircular_clusters(ps, tris)
@@ -691,10 +829,12 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
             moved[pt_idx] = Point2(p.x - f * ux, p.y - f * uy)
         try:
             candidate = PointSet(tuple(moved))
-            if delaunay(candidate).triangles == t.triangles:
-                return candidate
         except GeometryError:
-            pass
+            candidate = None
+        if candidate is not None:
+            verdict = _delaunay_certificate(candidate.coords, target)
+            if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t.triangles)):
+                return candidate
         step /= 8.0
     raise RealizationError("could not realize the triangulation within budget")
 

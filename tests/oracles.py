@@ -598,4 +598,21 @@ def loop_is_convex_cycle(ps: PointSet, tails: list, heads: list) -> bool:
         return False
     ring = np.array(cycle, dtype=np.int64)
     turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
-    return bool((_orientations(ps, turns) >= 0).all())
+    return bool((_orientations(ps.coords, turns) >= 0).all())
+
+
+# --------------------------------------------------------------------------
+# The original perturbation loop, one Point2 at a time; ``perturb`` draws the
+# same numbers as arrays and must give the same coordinates bit for bit.
+# --------------------------------------------------------------------------
+
+def perturb_points(ps: PointSet, delta: float, seed: int) -> PointSet:
+    rng = np.random.default_rng(seed)
+    n = len(ps)
+    radii = delta * np.sqrt(rng.random(n))
+    angles = 2.0 * math.pi * rng.random(n)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):  # Point2 rejects inf and nan
+        for p, r, a in zip(ps, radii, angles):
+            out.append(Point2(p.x + r * math.cos(a), p.y + r * math.sin(a)))
+    return PointSet(tuple(out))

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 import signal
 from contextlib import contextmanager
 
@@ -21,6 +23,7 @@ from delaunay_dilation.experiments import (
     plant,
     sample,
 )
+from delaunay_dilation import experiments, triangulation
 from delaunay_dilation.geom import GeometryError, Point2, dist
 from delaunay_dilation.triangulation import PointSet, delaunay, make_unique_delaunay
 
@@ -248,7 +251,46 @@ class TestPlant:
             assert rep.max_dilation >= 1.57
 
 
+class TestFindStableRadius:
+    def test_debug_line_counts_the_trials(self, caplog):
+        config = scaled_two_semicircle_config(n_arc=31)
+        with caplog.at_level(logging.DEBUG, logger="delaunay_dilation.experiments"):
+            delta = find_stable_radius(config, trials=10, seed=0)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "delaunay_dilation.experiments"]
+        assert len(lines) == 1
+        m = re.fullmatch(
+            r"find_stable_radius n=(\d+): (\d+) radii tried, (\d+) trials run, "
+            r"(\d+) certified, (\d+) rebuilt",
+            lines[0],
+        )
+        assert m, lines[0]
+        n, radii, run, certified, rebuilt = map(int, m.groups())
+        assert n == len(config)
+        coords = config.coords
+        d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        assert delta == 0.25 * math.sqrt(float(d2.min())) / 2.0**radii
+        # Every radius but the last fails at some trial; the last runs all.
+        assert radii - 1 + 10 <= run <= radii * 10
+        assert certified + rebuilt == run
+        assert rebuilt == 0
+
+
 class TestInvarianceCheck:
+    def test_cocircularity_decided_once(self, monkeypatch):
+        calls = []
+        original = triangulation._has_exact_cocircularity
+
+        def counting(ps, t):
+            calls.append(1)
+            return original(ps, t)
+
+        for module in (triangulation, experiments):
+            monkeypatch.setattr(module, "_has_exact_cocircularity", counting, raising=False)
+        assert invariance_check(sample(UniformSquare(), 40, seed=21), 2.0, (1.0, 0.0), seed=0)
+        assert len(calls) == 1
+
     def test_identity(self):
         ps = sample(UniformSquare(), 40, seed=21)
         assert invariance_check(ps, 1.0, (0.0, 0.0), seed=0)

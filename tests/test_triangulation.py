@@ -14,6 +14,9 @@ from delaunay_dilation.triangulation import (
     RealizationError,
     Triangulation,
     TriangulationStructureError,
+    _delaunay_certificate,
+    _mix_seed,
+    _target_arrays,
     convex_hull,
     delaunay,
     is_valid_delaunay,
@@ -25,9 +28,13 @@ from delaunay_dilation.triangulation import (
     triangulation_from_json,
     triangulation_to_json,
 )
-from oracles import delaunay_flip_oracle, incircle_frac, orient_frac
+from oracles import delaunay_flip_oracle, incircle_frac, orient_frac, perturb_points
+from test_builder import BAD_QHULL, three_circle_60
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+GRID4 = [(float(x), float(y)) for x in range(4) for y in range(4)]
+# Two points one subnormal apart: a subnormal perturbation can merge them.
+MERGEABLE = [(0.0, 0.0), (5e-324, 0.0), (0.0, 1.0)]
 
 
 def random_points(n, seed, lo=0.0, hi=1.0):
@@ -201,6 +208,43 @@ class TestPerturb:
         for p, q in zip(ps, moved):
             assert dist(p, q) <= delta
 
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+    def test_matches_the_point_loop_bit_for_bit(self, delta):
+        ps = random_points(50, seed=31, lo=-1e3, hi=1e3)
+        for seed in (0, 1, 7, 2024, 2**32 - 1):
+            got = [(p.x.hex(), p.y.hex()) for p in perturb(ps, delta, seed)]
+            want = [(p.x.hex(), p.y.hex()) for p in perturb_points(ps, delta, seed)]
+            assert got == want
+
+    def test_degenerate_draws_raise_like_the_point_loop(self):
+        ps = PointSet.from_coords(MERGEABLE)
+        merged = 0
+        for seed in range(50):
+            try:
+                perturb_points(ps, 5e-324, seed)
+            except GeometryError:
+                merged += 1
+                with pytest.raises(GeometryError, match="duplicate point"):
+                    perturb(ps, 5e-324, seed)
+            else:
+                perturb(ps, 5e-324, seed)
+        assert merged
+        for run in (perturb, perturb_points):
+            with pytest.raises(GeometryError, match="non-finite"):
+                run(ps, math.inf, 0)
+        huge = PointSet.from_coords([(1.5e308, 1.5e308), (-1.5e308, 0.0)])
+        overflowed = 0
+        for seed in range(20):
+            try:
+                perturb_points(huge, 1e308, seed)
+            except GeometryError:
+                overflowed += 1
+                with pytest.raises(GeometryError, match="non-finite"):
+                    perturb(huge, 1e308, seed)
+            else:
+                perturb(huge, 1e308, seed)
+        assert 0 < overflowed < 20
+
     def test_square_perturbation_has_unique_diagonal(self):
         ps = perturb(PointSet.from_coords(SQUARE), 1e-9, seed=1)
         pts = list(ps)
@@ -236,6 +280,41 @@ class TestStability:
         else:
             pytest.fail("no stable delta found")
         assert stability_check(ps, t, delta, trials=100, seed=1)
+
+    @pytest.mark.parametrize("kind", ["cw", "drop", "unused", "unsorted"])
+    def test_cw_or_non_tiling_target_is_unstable(self, kind):
+        ps = random_points(30, seed=8)
+        tris = list(delaunay(ps).triangles)
+        a, b, c = tris[5]
+        if kind == "cw":
+            tris[5] = (a, c, b)
+        elif kind == "drop":
+            del tris[5]
+        elif kind == "unused":
+            # The Delaunay triangulation of the others, with an inner point left out.
+            inner = next(i for i in range(len(ps)) if i not in convex_hull(ps))
+            keep = [i for i in range(len(ps)) if i != inner]
+            rest = delaunay(PointSet(tuple(ps[i] for i in keep)))
+            tris = [tuple(keep[i] for i in tri) for tri in rest.triangles]
+        t = Triangulation.from_triples(tris)
+        if kind == "unsorted":
+            t = Triangulation(t.triangles[::-1])
+        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
+        assert stability_check(ps, t, 1e-9, trials=5, seed=0) is False
+
+    def test_merged_trial_raises_like_perturb(self):
+        ps = PointSet.from_coords(MERGEABLE)
+        t = delaunay(ps)
+        seeds = []
+        for seed in range(100):
+            try:
+                perturb_points(ps, 5e-324, _mix_seed(seed, 0))
+            except GeometryError:
+                seeds.append(seed)
+        assert seeds
+        for seed in seeds:
+            with pytest.raises(GeometryError, match="duplicate point"):
+                stability_check(ps, t, 5e-324, trials=1, seed=seed)
 
     def test_failure_monotone_in_delta(self):
         # If a radius flips the triangulation, twice that radius should too
@@ -326,6 +405,78 @@ class TestMakeUnique:
         bad = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
         with pytest.raises(RealizationError):
             make_unique_delaunay(ps, bad, budget=1e-9)
+
+
+class TestDelaunayCertificate:
+    @pytest.mark.parametrize(
+        "coords",
+        [SQUARE, GRID4, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)]],
+        ids=["square", "grid4", "collinear-hull"],
+    )
+    def test_exact_zero_is_undecided(self, coords):
+        ps = PointSet.from_coords(coords)
+        target = _target_arrays(delaunay(ps), len(ps))
+        assert _delaunay_certificate(ps.coords, target) == 0
+
+    @pytest.mark.parametrize("reason", list(BAD_QHULL))
+    def test_non_tilings_are_refused(self, reason):
+        # Among them a pentagram fan: ccw triangles, left turns, winding twice.
+        points, simplices = BAD_QHULL[reason]
+        ps = PointSet.from_coords(points)
+        t = Triangulation.from_triples(simplices)
+        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_rebuild(self, data):
+        # Whenever the certificate decides, delaunay of the moved points
+        # returns the target exactly if and only if the verdict is +1.
+        coords = data.draw(certificate_inputs())
+        ps = PointSet.from_coords(coords)
+        try:
+            tris = [list(t) for t in delaunay(ps).triangles]
+        except AllCollinearError:
+            return
+        kind = data.draw(st.sampled_from(["delaunay", "flip", "cw"]))
+        if kind == "flip":
+            quads = [
+                (ij, (u, v, w1, w2))
+                for ij, (u, v, w1, w2) in interior_edges(tris)
+                if orient_frac(coords[u], coords[w2], coords[w1]) > 0
+                and orient_frac(coords[v], coords[w1], coords[w2]) > 0
+            ]
+            if quads:
+                (i, j), (u, v, w1, w2) = data.draw(st.sampled_from(quads))
+                tris[i], tris[j] = [u, w2, w1], [v, w1, w2]
+        elif kind == "cw":
+            k = data.draw(st.integers(0, len(tris) - 1))
+            tris[k] = tris[k][::-1]
+        target = Triangulation.from_triples(tris)
+        span = float(np.ptp(ps.coords, axis=0).max())
+        rel = data.draw(st.sampled_from([0.0] + [10.0**-k for k in range(1, 15)]))
+        moved = perturb(ps, rel * span, seed=data.draw(st.integers(0, 2**32 - 1)))
+        verdict = _delaunay_certificate(moved.coords, _target_arrays(target, len(ps)))
+        if kind == "cw":
+            assert verdict == -1
+        if verdict:
+            try:
+                rebuilt = delaunay(moved).triangles
+            except GeometryError:
+                rebuilt = None
+            assert (verdict > 0) == (rebuilt == target.triangles)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Random points, a near-cocircular set, or the three-circle set at arc
+    density 60."""
+    kind = draw(st.sampled_from(["random", "near-cocircular", "three-circle60"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return [tuple(p) for p in rng.random((draw(st.integers(3, 40)), 2)).tolist()]
+    if kind == "three-circle60":
+        return [(p.x, p.y) for p in three_circle_60()]
+    return draw(near_cocircular_coords())
 
 
 @st.composite
