@@ -27,8 +27,8 @@ from .triangulation import (
     PointSet,
     TriangulationStructureError,
     _structural_check,
+    _violation_blocks,
     delaunay,
-    is_valid_delaunay,
     make_unique_delaunay,
     points_from_json,
     points_to_json,
@@ -222,15 +222,21 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     ps = _load_points(args.points)
     tri = _load_triangulation(args.triangulation)
+    # The count and the first 20 violations of is_valid_delaunay, without
+    # holding them all: the convex 2000 construction has 1,002,796 at eps=0.
+    count, first = 0, []
     try:
-        report = is_valid_delaunay(ps, tri, eps=args.eps)
+        for ti, pi, margins in _violation_blocks(ps, tri, args.eps):
+            count += len(ti)
+            keep = slice(20 - len(first))
+            first += zip(ti[keep].tolist(), pi[keep].tolist(), margins[keep].tolist())
     except TriangulationStructureError as e:
         raise _UsageError(f"structurally invalid triangulation: {e}") from e
-    if report.valid:
+    if not count:
         print(f"valid at eps={args.eps!r}")
         return 0
-    print(f"INVALID at eps={args.eps!r}: {len(report.violations)} violation(s)")
-    for tri_idx, pt_idx, margin in report.violations[:20]:
+    print(f"INVALID at eps={args.eps!r}: {count} violation(s)")
+    for tri_idx, pt_idx, margin in first:
         print(f"  triangle {tri_idx} contains point {pt_idx} (margin {margin:.3e})")
     raise _DomainFailure("triangulation violates the empty-circumcircle property")
 

@@ -341,6 +341,30 @@ def invariance_check(ps: PointSet, a: float, b: tuple[float, float], seed: int) 
     return abs(other - base) <= 1e-9 * base
 
 
+def _closest_sq_distance(coords: np.ndarray) -> float:
+    """min over i != j of ((coords[i] - coords[j]) ** 2).sum(), bit for bit,
+    in memory linear in n.
+
+    A cKDTree gives the least distance m; the pairs within m (1 + 2**-20) +
+    2**-530 are then evaluated with that expression.  The tree's distances
+    and the expression differ by a few units in the last place, or by about
+    2**-537 where squares underflow, so the pair the expression ranks
+    first is among them.  The tree refuses points whose squared extent
+    overflows; for those every pair is evaluated.
+    """
+    from scipy.spatial import cKDTree
+
+    with np.errstate(over="ignore"):
+        if np.ptp(coords, axis=0).max() < 2.0**500:
+            tree = cKDTree(coords)
+            m = tree.query(coords, k=2)[0][:, 1].min()
+            pairs = tree.query_pairs(m * (1 + 2**-20) + 2**-530, output_type="ndarray")
+        else:
+            pairs = np.stack(np.triu_indices(len(coords), 1), axis=1)
+        d2 = ((coords[pairs[:, 0]] - coords[pairs[:, 1]]) ** 2).sum(axis=1)
+    return float(d2.min())
+
+
 def find_stable_radius(
     ps: PointSet,
     tri: Triangulation | None = None,
@@ -357,10 +381,7 @@ def find_stable_radius(
     """
     if tri is None:
         tri = delaunay(ps)
-    coords = ps.coords
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    delta = 0.25 * math.sqrt(float(d2.min()))
+    delta = 0.25 * math.sqrt(_closest_sq_distance(ps.coords))
     checks = _StabilityTrials(ps, tri)
     radii = 0
     try:

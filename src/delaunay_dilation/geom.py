@@ -216,16 +216,21 @@ class ExactIncircle:
     k0·X + k1·Y + k2·L + k3 in Python integers.
     """
 
-    def __init__(self, coords, tris):
-        """coords: (n, 2) floats; tris: (T, 3) indices of ccw triangles."""
+    def __init__(self, coords, tris=None):
+        """coords: (n, 2) floats; tris: (T, 3) indices of ccw triangles, the
+        rows that ``signs`` reads.  Without tris only the lift is built."""
         ints = np.array(_as_scaled_ints(coords.ravel().tolist()), dtype=object)
         x, y = ints[0::2], ints[1::2]
         self._lifted = (x, y, x * x + y * y)
+        if tris is not None:
+            self._cofactors = self._cofactors_of(tris)
+
+    def _cofactors_of(self, tris):
         (xa, xb, xc), (ya, yb, yc), (la, lb, lc) = (v[tris.T] for v in self._lifted)
         ab = xa * yb - ya * xb
         bc = xb * yc - yb * xc
         ca = xc * ya - yc * xa
-        self._cofactors = (
+        return (
             -(ya * (lb - lc) + yb * (lc - la) + yc * (la - lb)),
             xa * (lb - lc) + xb * (lc - la) + xc * (la - lb),
             -(ab + bc + ca),
@@ -234,8 +239,15 @@ class ExactIncircle:
 
     def signs(self, rows, points):
         """int8 signs of incircle(tris[rows[k]], points[k]); POSITIVE = inside."""
+        return self._signs(tuple(k[rows] for k in self._cofactors), points)
+
+    def _quad_signs(self, u, v, w, x):
+        """int8 signs of incircle(u[k], v[k], w[k], x[k]) for ccw (u, v, w)."""
+        return self._signs(self._cofactors_of(np.stack([u, v, w], axis=1)), x)
+
+    def _signs(self, cofactors, points):
         x, y, lift = (v[points] for v in self._lifted)
-        k0, k1, k2, k3 = (k[rows] for k in self._cofactors)
+        k0, k1, k2, k3 = cofactors
         det = k0 * x + k1 * y + k2 * lift + k3
         return (det > 0).astype(np.int8) - (det < 0)
 

@@ -1,18 +1,21 @@
 """Indexed triangulations and a robust Delaunay builder.
 
 Triangulations are plain lists of index triples over a PointSet; adjacency is
-derived on demand.  The Delaunay builder re-orients Qhull's triangulation and
-legalises it with Lawson flips, both decided by the exact predicates from
-``geom`` (vectorised float filters settle the easy cases), so cocircular and
-collinear degeneracies are handled without tolerances.  An exact x-sweep
-seeds the flips where Qhull's output is unusable.  Exactly cocircular groups
-are re-triangulated to the lexicographically smallest completion, so the
-triangles are a pure function of the points.
+derived on demand.  The Delaunay builder takes the first seed triangulation
+that tiles the hull under exact orientations: Qhull joggled, Qhull with its
+default options, then an exact x-sweep.  Rounds of Lawson flips legalise it,
+each a vectorised float filter of the incircle predicate, exact integer signs
+for the rows the filter leaves open, and a set of flips on disjoint triangle
+pairs, so cocircular and collinear degeneracies are handled without
+tolerances.  Every flip lowers the lifted surface, so the rounds end.
+Exactly cocircular groups are re-triangulated to the lexicographically
+smallest completion, so the triangles are a pure function of the points.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +34,6 @@ from .geom import (
     _orient2d_exact,
     _orient2d_float,
     dist,
-    incircle,
     orient2d,
 )
 
@@ -53,6 +55,8 @@ __all__ = [
     "triangulation_to_json",
     "triangulation_from_json",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class TriangulationStructureError(GeometryError):
@@ -117,7 +121,7 @@ class Triangulation:
 
     @classmethod
     def from_triples(cls, triples) -> "Triangulation":
-        canon = sorted(_canonical_triple(tuple(int(i) for i in t)) for t in triples)
+        canon = sorted(_canonical_triple(tuple(map(int, t))) for t in triples)
         return cls(tuple(canon))
 
     def __len__(self) -> int:
@@ -211,22 +215,109 @@ def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
 def delaunay(ps: PointSet) -> Triangulation:
     """Delaunay triangulation, exactly valid under the incircle predicate.
 
-    Qhull's triangles (``scipy.spatial.Delaunay``) seed one exact Lawson
-    legalisation.  When Qhull fails, leaves a point out, or returns a flat
-    triangle or triangles that do not tile the convex hull, an x-sweep
-    triangulation built with exact orientations seeds it instead.  Exactly
-    cocircular groups are re-triangulated to the lexicographically smallest
-    set of index triples, so the result is a pure function of the points.
+    Seed: the first of three triangulations that tiles the hull exactly, by
+    the exact ``_orientations`` and ``_tiling`` test.  Qhull's joggled mode
+    (``scipy.spatial.Delaunay`` with ``QJ``) comes first: it is fast on
+    nearly cocircular input, but its triangles belong to slightly moved
+    points and can be flat or folded, as along a grid's collinear hull.
+    Qhull's default options come next, and an x-sweep with exact
+    orientations last, for input where Qhull fails or leaves a point out.
+
+    Rounds of Lawson flips then legalise the seed (``_flip_rounds``).  A
+    flip lowers the lifted surface, so the rounds end at Lawson's fixed
+    point, where no edge is strictly illegal: a Delaunay triangulation.
+    The Delaunay triangulations of a point set differ only inside the
+    empty circles through four or more points, and the edges whose exact
+    incircle is 0 join exactly the triangles of those circles.  Each such
+    group is re-triangulated to the lexicographically smallest set of index
+    triples, so the result is a pure function of the points, whatever the
+    seed.  Logs one debug line per call with the seed taken, the rounds,
+    the edges tested, the exact fallbacks, the flips and the tie edges.
     """
     if len(ps) < 3:
         raise GeometryError("need at least 3 points")
-    tris = _qhull_triangles(ps)
-    quads = None if tris is None else _tiling(ps, tris)
-    if quads is None:
-        quads = _tiling(ps, _sweep_triangulation(ps))
-    opp, suspects = _half_edges(ps, quads)
-    ties = _legalize(ps, opp, suspects)
-    return Triangulation.from_triples(_break_cocircular_ties(opp, ties))
+    seed, tris, quads = _seed(ps)
+    tris, (u, v, w, _), ties, counts = _flip_rounds(ps.coords, tris, quads)
+    log.debug(
+        "delaunay n=%d: %s seed, %d rounds, %d edges tested, %d exact, "
+        "%d flips, %d ties",
+        len(ps), seed, counts["rounds"], counts["tested"], counts["exact"],
+        counts["flips"], len(ties),
+    )
+    if not len(ties):
+        return Triangulation.from_triples(tris.tolist())
+    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
+    return Triangulation.from_triples(
+        _break_cocircular_ties(opp, set(zip(u[ties].tolist(), v[ties].tolist())))
+    )
+
+
+def _seed(ps: PointSet):
+    """(name, ccw triangles, their half-edges) of the first seed that tiles
+    hull(ps): Qhull joggled, Qhull with its default options, the x-sweep."""
+    for name, options in (("joggled", "QJ"), ("plain", None)):
+        tris = _qhull_triangles(ps, options)
+        quads = None if tris is None else _tiling(ps, tris)
+        if quads is not None:
+            return name, tris, quads
+    tris = _sweep_triangulation(ps)
+    return "sweep", tris, _tiling(ps, tris)
+
+
+def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
+    """Legalise ccw triangles that tile the hull by rounds of exact Lawson flips.
+
+    A round tests the pending interior edges: the float filter, then
+    ``geom.ExactIncircle`` on the rows it leaves open (the integer lift is
+    built once, when a row first needs it).  Each triangle then goes to its
+    smallest strictly illegal edge, and the edges that get both of their
+    triangles flip.  Their triangle pairs are disjoint, so the flips
+    commute, and the smallest illegal edge always flips.  Only edges of
+    triangles that had an illegal edge are tested again.
+
+    Returns the triangles, their half-edges, the ties and the counts of
+    rounds, edges tested, exact fallbacks and flips.  The ties are the
+    interior u < v half-edges whose last test gave 0.  An edge's test stays
+    current while neither of its triangles changes, and so does its index.
+    """
+    tris = tris.copy()
+    u, v, w, twin = quads
+    last = np.zeros(len(u), dtype=np.int8)
+    edges = np.flatnonzero((twin >= 0) & (u < v))
+    exact = None
+    counts = dict(rounds=0, tested=0, exact=0, flips=0)
+    while len(edges):
+        counts["rounds"] += 1
+        counts["tested"] += len(edges)
+        a, b, c, x = u[edges], v[edges], w[edges], w[twin[edges]]
+        signs = _filter_signs(_incircle_float, coords, a, b, c, x)
+        unsure = np.flatnonzero(signs == 0)
+        if unsure.size:
+            counts["exact"] += unsure.size
+            if exact is None:
+                exact = ExactIncircle(coords)
+            signs[unsure] = exact._quad_signs(a[unsure], b[unsure], c[unsure], x[unsure])
+        last[edges] = signs
+        bad = edges[signs > 0]
+        if not len(bad):
+            break
+        left, right = bad // 3, twin[bad] // 3
+        claim = np.full(len(tris), len(u))
+        np.minimum.at(claim, left, bad)
+        np.minimum.at(claim, right, bad)
+        flip = bad[(claim[left] == bad) & (claim[right] == bad)]
+        fu, fv, fw, fx = u[flip], v[flip], w[flip], w[twin[flip]]
+        # Triangles (u, v, w) and (v, u, x) become (u, x, w) and (x, v, w).
+        tris[flip // 3] = np.stack([fu, fx, fw], axis=1)
+        tris[twin[flip] // 3] = np.stack([fx, fv, fw], axis=1)
+        counts["flips"] += len(flip)
+        dirty = np.zeros(len(tris), dtype=bool)
+        dirty[left] = dirty[right] = True
+        u, v, w, twin = _edge_quads(tris)
+        edges = np.flatnonzero((twin >= 0) & (u < v))
+        edges = edges[dirty[edges // 3] | dirty[twin[edges] // 3]]
+    ties = np.flatnonzero((twin >= 0) & (u < v) & (last == 0))
+    return tris, (u, v, w, twin), ties, counts
 
 
 def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
@@ -250,22 +341,30 @@ def _incircle_signs(coords: np.ndarray, u, v, w, x) -> np.ndarray:
     signs = _filter_signs(_incircle_float, coords, u, v, w, x)
     unsure = np.flatnonzero(signs == 0)
     if unsure.size:
-        exact = ExactIncircle(coords, np.stack([u[unsure], v[unsure], w[unsure]], axis=1))
-        signs[unsure] = exact.signs(np.arange(unsure.size), x[unsure])
+        exact = ExactIncircle(coords)
+        signs[unsure] = exact._quad_signs(u[unsure], v[unsure], w[unsure], x[unsure])
     return signs
 
 
-def _qhull_triangles(ps: PointSet) -> np.ndarray | None:
-    """Qhull's triangles turned ccw; None on a Qhull error or a flat triangle."""
+def _qhull_triangles(ps: PointSet, options: str | None) -> np.ndarray | None:
+    """Qhull's triangles turned ccw; None on a Qhull error or a flat triangle.
+
+    options are Qhull's (``qhull_options``); None takes scipy's defaults.
+    """
     from scipy.spatial import Delaunay, QhullError
 
     try:
-        tris = Delaunay(ps.coords).simplices.astype(np.int64)
+        tris = Delaunay(ps.coords, qhull_options=options).simplices.astype(np.int64)
     except QhullError:
         return None
-    signs = _orientations(ps.coords, tris)
-    if (signs == 0).any():
-        return None
+    coords = ps.coords
+    signs = _filter_signs(_orient2d_float, coords, *tris.T)
+    for k in np.flatnonzero(signs == 0).tolist():
+        # As in _orientations, but the first flat triangle decides: joggled
+        # seeds of grids have hundreds along the hull.
+        signs[k] = _orient2d_exact(*(Point2(*coords[i].tolist()) for i in tris[k]))
+        if not signs[k]:
+            return None
     tris[signs < 0] = tris[signs < 0][:, ::-1]
     return tris
 
@@ -310,23 +409,6 @@ def _tiling(ps: PointSet, tris: np.ndarray):
     if not _is_convex_cycle(ps, u[hull], v[hull]):
         return None
     return quads
-
-
-def _half_edges(ps: PointSet, quads):
-    """The map opp[(u, v)] = w of a tiling's half-edges, and the flagged edges.
-
-    ``opp[(u, v)]`` is the third vertex of the triangle left of u->v.  The
-    flagged edges are the interior ones the float filter of ``geom.incircle``
-    cannot certify as legal.
-    """
-    u, v, w, twin = quads
-    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
-    inner = np.flatnonzero((twin >= 0) & (u < v))
-    signs = _filter_signs(
-        _incircle_float, ps.coords, u[inner], v[inner], w[inner], w[twin[inner]]
-    )
-    flagged = inner[signs >= 0]
-    return opp, list(zip(u[flagged].tolist(), v[flagged].tolist()))
 
 
 def _edge_quads(tris: np.ndarray):
@@ -390,35 +472,6 @@ def _ring_sign(coords: np.ndarray, ring: np.ndarray) -> int:
         return -1
     turns = np.stack([np.roll(ring, 2), np.roll(ring, 1), ring], axis=1)
     return int(_orientations(coords, turns).min())
-
-
-def _legalize(ps: PointSet, opp: dict, suspects: list) -> set:
-    """Lawson flips with the exact incircle until every edge is legal.
-
-    Checks the suspect edges and every edge a flip touches.  Returns the
-    edges, as (min, max) pairs, whose two triangles are exactly cocircular.
-    """
-    pts = ps.points
-    ties = set()
-    stack = list(suspects)
-    while stack:
-        u, v = stack.pop()
-        w = opp.get((u, v))
-        x = opp.get((v, u))
-        if w is None or x is None:
-            continue  # flipped away since it was pushed
-        edge = (u, v) if u < v else (v, u)
-        ties.discard(edge)
-        s = incircle(pts[u], pts[v], pts[w], pts[x])
-        if s is Sign.ZERO:
-            ties.add(edge)
-        elif s is Sign.POSITIVE:
-            # Triangles (u, v, w) and (v, u, x) become (u, x, w) and (x, v, w).
-            del opp[(u, v)], opp[(v, u)]
-            opp[(u, x)], opp[(x, w)], opp[(w, u)] = w, u, x
-            opp[(x, v)], opp[(v, w)], opp[(w, x)] = w, x, v
-            stack += ((u, x), (x, v), (v, w), (w, u))
-    return ties
 
 
 def _break_cocircular_ties(opp: dict, ties: set) -> list:
@@ -568,21 +621,33 @@ def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> Valid
     scanned in blocks of about 2**13, so memory does not grow with T·n.
     Structurally malformed triangulations raise, they do not report invalid.
     """
+    # One int object per triangle, shared by all of its violations.
+    tri_ids = np.arange(len(t)).astype(object)
+    violations = []
+    for ti, pi, margins in _violation_blocks(ps, t, eps):
+        violations += zip(tri_ids[ti].tolist(), pi.tolist(), margins.tolist())
+    return ValidityReport(valid=not violations, violations=tuple(violations))
+
+
+def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
+    """The violations of ``is_valid_delaunay``, one block of the scan at a
+    time, as arrays (triangle indices, point indices, margins)."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     tris = np.array(_structural_check(ps, t), dtype=np.intp)
     coords = ps.coords
     points = np.arange(len(ps))[None, :]
-    # One int object per triangle, shared by all of its violations.
-    tri_ids = np.arange(len(tris)).astype(object)
     block = max(1, _PAIR_BLOCK // len(ps))
     exact = None
-    violations = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # The float scan may overflow or divide by zero; the errstate stays
+    # inside each block, so it does not reach the caller between blocks.
+    ignore = dict(divide="ignore", invalid="ignore", over="ignore")
+    with np.errstate(**ignore):
         centers, radii = _circumcircles_array(coords, tris)
-        for lo in range(0, len(tris), block):
-            own = tris[lo : lo + block]
-            rows = np.arange(len(own))[:, None]
+    for lo in range(0, len(tris), block):
+        own = tris[lo : lo + block]
+        rows = np.arange(len(own))[:, None]
+        with np.errstate(**ignore):
             if eps == 0.0:
                 signs = _filter_signs(_incircle_float, coords, *np.hsplit(own, 3), points)
                 signs[rows, own] = -1  # a triangle's own vertices lie on its circle
@@ -599,8 +664,8 @@ def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> Valid
                 m[rows, own] = -np.inf
                 ti, pi = np.nonzero(m > eps)
                 margins = m[ti, pi]
-            violations += zip(tri_ids[lo + ti].tolist(), pi.tolist(), margins.tolist())
-    return ValidityReport(valid=not violations, violations=tuple(violations))
+        if len(ti):
+            yield lo + ti, pi, margins
 
 
 # --------------------------------------------------------------------------

@@ -3,16 +3,20 @@
 Cocircular ties are broken lexicographically, so the triangles are a pure
 function of the points and any correct builder returns the same triples.
 ``oracles.bowyer_watson_delaunay`` is the original randomized incremental
-builder; ``delaunay`` starts from Qhull, or from an exact x-sweep when Qhull's
-output cannot be used, and legalises with exact Lawson flips.
+builder; ``delaunay`` starts from Qhull's joggled triangles, else from Qhull's
+default ones, else from an exact x-sweep, and legalises with rounds of exact
+Lawson flips.
 """
 
 import functools
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,7 +184,7 @@ BAD_QHULL = {
 def test_unusable_qhull_output_takes_sweep(reason, monkeypatch, sweep_calls):
     points, simplices = BAD_QHULL[reason]
     fake = _FakeQhull(simplices)
-    monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords: fake)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords, qhull_options: fake)
     ps = PointSet.from_coords(points)
     got = delaunay(ps)
     assert sweep_calls == [len(ps)]
@@ -191,10 +195,64 @@ def test_usable_qhull_output_is_legalised(monkeypatch, sweep_calls):
     # Cw triangles with the illegal diagonal: re-oriented and flipped.
     pts = [(0.0, 0.0), (1.0, 0.0), (1.05, 1.05), (0.0, 1.0)]
     fake = _FakeQhull([[0, 2, 1], [0, 3, 2]])
-    monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords: fake)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords, qhull_options: fake)
     got = delaunay(PointSet.from_coords(pts))
     assert sweep_calls == []
     assert got.triangles == ((0, 1, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("refused", [("QJ",), ("QJ", None)])
+def test_refused_seeds_fall_through(refused, monkeypatch, caplog):
+    # A seed with a flat triangle is refused: the joggled one first, then
+    # the plain one, and the x-sweep seeds the flips instead.
+    real = scipy.spatial.Delaunay
+
+    def qhull(coords, qhull_options):
+        if qhull_options in refused:
+            return _FakeQhull([[0, 0, 1]])
+        return real(coords, qhull_options=qhull_options)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", qhull)
+    ps = CORPUS["three_circle60"]()
+    counts = _debug_counts(caplog, ps)
+    assert counts["seed"] == ("plain" if None not in refused else "sweep")
+    assert counts["flips"] > 0
+    assert delaunay(ps).triangles == bowyer_watson_delaunay(ps).triangles
+
+
+def _debug_counts(caplog, ps):
+    """The counts of the one debug line delaunay(ps) logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="delaunay_dilation.triangulation"):
+        delaunay(ps)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "delaunay_dilation.triangulation"]
+    assert len(lines) == 1
+    m = re.fullmatch(
+        r"delaunay n=(\d+): (joggled|plain|sweep) seed, (\d+) rounds, "
+        r"(\d+) edges tested, (\d+) exact, (\d+) flips, (\d+) ties",
+        lines[0],
+    )
+    assert m, lines[0]
+    n, seed, *rest = m.groups()
+    assert int(n) == len(ps)
+    return dict(seed=seed, **dict(zip(("rounds", "tested", "exact", "flips", "ties"),
+                                      map(int, rest))))
+
+
+def test_debug_line_names_the_seed_and_counts_the_flips(caplog):
+    chew = _debug_counts(caplog, CORPUS["chew512"]())
+    assert chew["seed"] == "joggled" and chew["flips"] > 0
+    assert chew["rounds"] >= 2 and chew["tested"] >= chew["exact"] > 0
+    grid = _debug_counts(caplog, CORPUS["grid20"]())
+    # Every unit square of the grid is one cocircular tie.
+    assert grid["seed"] == "plain" and grid["ties"] == 19 * 19
+    uniform = _debug_counts(caplog, CORPUS["uniform1000"]())
+    assert uniform["seed"] == "joggled"
+    assert uniform["flips"] == uniform["exact"] == uniform["ties"] == 0
+    assert uniform["rounds"] == 1
+    for name, (make, _) in FALLBACK.items():
+        assert _debug_counts(caplog, make())["seed"] == "sweep", name
 
 
 def test_all_collinear_raises_through_sweep(sweep_calls):
@@ -236,6 +294,15 @@ def near_degenerate_sets(draw):
 @settings(max_examples=80, deadline=None)
 def test_near_degenerate_matches_bowyer_watson(ps):
     assert delaunay(ps).triangles == bowyer_watson_delaunay(ps).triangles
+
+
+@given(near_degenerate_sets())
+@settings(max_examples=60, deadline=None)
+def test_legalising_the_sweep_seed_matches(ps):
+    # The sweep's fans are the worst seed: most edges start illegal.
+    expected = delaunay(ps).triangles
+    with mock.patch.object(triangulation, "_qhull_triangles", return_value=None):
+        assert delaunay(ps).triangles == expected
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,8 +9,11 @@ from delaunay_dilation.triangulation import (
     PointSet,
     Triangulation,
     delaunay,
+    is_valid_delaunay,
     perturb,
+    points_from_json,
     points_to_json,
+    triangulation_from_json,
     triangulation_to_json,
 )
 
@@ -197,6 +201,40 @@ class TestVerify:
         code = main(["verify", str(ppath), str(tpath)])
         assert code == 1
         assert "violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, eps", [(64, "0"), (64, "1e-09"), (512, "0")])
+    def test_output_is_that_of_the_full_report(self, n, eps, tmp_path, capsys):
+        main(["construct", "chew", "--n", str(n), "--out-dir", str(tmp_path), "--no-svg"])
+        capsys.readouterr()
+        ppath, tpath = tmp_path / "points.json", tmp_path / "triangulation.json"
+        code = main(["verify", str(ppath), str(tpath), "--eps", eps])
+        report = is_valid_delaunay(
+            points_from_json(ppath.read_text()),
+            triangulation_from_json(tpath.read_text()),
+            float(eps),
+        )
+        if report.valid:
+            expected = f"valid at eps={float(eps)!r}\n"
+        else:
+            expected = f"INVALID at eps={float(eps)!r}: {len(report.violations)} violation(s)\n"
+            for tri_idx, pt_idx, margin in report.violations[:20]:
+                expected += f"  triangle {tri_idx} contains point {pt_idx} (margin {margin:.3e})\n"
+        assert code == (0 if report.valid else 1)
+        assert capsys.readouterr().out == expected
+
+    def test_violations_are_counted_not_held(self, tmp_path, capsys):
+        # chew 512 has 129,928 violations at eps=0: about 16 MB as a report.
+        main(["construct", "chew", "--n", "512", "--out-dir", str(tmp_path), "--no-svg"])
+        args = ["verify", str(tmp_path / "points.json"),
+                str(tmp_path / "triangulation.json"), "--eps", "0"]
+        tracemalloc.start()
+        try:
+            assert main(args) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "129928 violation(s)" in capsys.readouterr().out
+        assert peak < 6 * 2**20
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json"), str(tmp_path / "nope2.json")]) == 2

@@ -3,7 +3,9 @@ import logging
 import math
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from delaunay_dilation.experiments import (
     plant,
     sample,
 )
-from delaunay_dilation import experiments, triangulation
+from delaunay_dilation import cli, experiments, triangulation
 from delaunay_dilation.geom import GeometryError, Point2, dist
 from delaunay_dilation.triangulation import PointSet, delaunay, make_unique_delaunay
 
@@ -251,7 +253,38 @@ class TestPlant:
             assert rep.max_dilation >= 1.57
 
 
+def dense_closest_sq(coords):
+    """The closest-pair expression find_stable_radius once took over all n^2 pairs."""
+    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return float(d2.min())
+
+
+CLOSEST_PAIR_INPUTS = {
+    "plant_convex": lambda: cli._planted_config("convex", SimpleNamespace(config_n=64)),
+    "plant_three_circle": lambda: cli._planted_config("three-circle", None),
+    "uniform2000": lambda: sample(UniformSquare(), 2000, seed=1),
+    # Every point has up to four nearest neighbours: many exact ties.
+    "grid": lambda: PointSet.from_coords(
+        [(0.1 * x, 0.1 * y) for x in range(40) for y in range(40)]
+    ),
+}
+
+
 class TestFindStableRadius:
+    @pytest.mark.parametrize("name", list(CLOSEST_PAIR_INPUTS))
+    def test_closest_pair_is_the_dense_one_bit_for_bit(self, name):
+        coords = CLOSEST_PAIR_INPUTS[name]().coords
+        tracemalloc.start()
+        try:
+            got = experiments._closest_sq_distance(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == dense_closest_sq(coords).hex()
+        # The dense (n, n, 2) difference array alone is 64 MB at n=2000.
+        assert peak < 2 * 2**20
+
     def test_debug_line_counts_the_trials(self, caplog):
         config = scaled_two_semicircle_config(n_arc=31)
         with caplog.at_level(logging.DEBUG, logger="delaunay_dilation.experiments"):
@@ -267,10 +300,7 @@ class TestFindStableRadius:
         assert m, lines[0]
         n, radii, run, certified, rebuilt = map(int, m.groups())
         assert n == len(config)
-        coords = config.coords
-        d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        assert delta == 0.25 * math.sqrt(float(d2.min())) / 2.0**radii
+        assert delta == 0.25 * math.sqrt(dense_closest_sq(config.coords)) / 2.0**radii
         # Every radius but the last fails at some trial; the last runs all.
         assert radii - 1 + 10 <= run <= radii * 10
         assert certified + rebuilt == run
