@@ -345,11 +345,11 @@ def _closest_sq_distance(coords: np.ndarray) -> float:
     """min over i != j of ((coords[i] - coords[j]) ** 2).sum(), bit for bit,
     in memory linear in n.
 
-    A cKDTree gives the least distance m; the pairs within m (1 + 2**-20) +
-    2**-530 are then evaluated with that expression.  The tree's distances
-    and the expression differ by a few units in the last place, or by about
-    2**-537 where squares underflow, so the pair the expression ranks
-    first is among them.  The tree refuses points whose squared extent
+    A cKDTree gives the least distance m; the pairs within m (1 + 2**-20)
+    are then evaluated with that expression.  The tree's squared distances
+    are the expression's, so m is the square root of its minimum, rounded;
+    the factor covers that rounding, also where the squares are subnormal
+    or underflow to 0.  The tree refuses points whose squared extent
     overflows; for those every pair is evaluated.
     """
     from scipy.spatial import cKDTree
@@ -358,7 +358,7 @@ def _closest_sq_distance(coords: np.ndarray) -> float:
         if np.ptp(coords, axis=0).max() < 2.0**500:
             tree = cKDTree(coords)
             m = tree.query(coords, k=2)[0][:, 1].min()
-            pairs = tree.query_pairs(m * (1 + 2**-20) + 2**-530, output_type="ndarray")
+            pairs = tree.query_pairs(m * (1 + 2**-20), output_type="ndarray")
         else:
             pairs = np.stack(np.triu_indices(len(coords), 1), axis=1)
         d2 = ((coords[pairs[:, 0]] - coords[pairs[:, 1]]) ** 2).sum(axis=1)

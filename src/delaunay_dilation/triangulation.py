@@ -254,7 +254,12 @@ def delaunay(ps: PointSet) -> Triangulation:
 
 def _seed(ps: PointSet):
     """(name, ccw triangles, their half-edges) of the first seed that tiles
-    hull(ps): Qhull joggled, Qhull with its default options, the x-sweep."""
+    hull(ps): Qhull joggled, Qhull with its default options, the x-sweep.
+
+    Integer grids take the second: their joggled triangles are flat along
+    the hull, and from the sweep the 70x70 grid needs 69 rounds and 161,874
+    flips, about twice the time of the whole call.
+    """
     for name, options in (("joggled", "QJ"), ("plain", None)):
         tris = _qhull_triangles(ps, options)
         quads = None if tris is None else _tiling(ps, tris)
@@ -357,14 +362,9 @@ def _qhull_triangles(ps: PointSet, options: str | None) -> np.ndarray | None:
         tris = Delaunay(ps.coords, qhull_options=options).simplices.astype(np.int64)
     except QhullError:
         return None
-    coords = ps.coords
-    signs = _filter_signs(_orient2d_float, coords, *tris.T)
-    for k in np.flatnonzero(signs == 0).tolist():
-        # As in _orientations, but the first flat triangle decides: joggled
-        # seeds of grids have hundreds along the hull.
-        signs[k] = _orient2d_exact(*(Point2(*coords[i].tolist()) for i in tris[k]))
-        if not signs[k]:
-            return None
+    signs = _orientations(ps.coords, tris)
+    if (signs == 0).any():
+        return None
     tris[signs < 0] = tris[signs < 0][:, ::-1]
     return tris
 

@@ -255,7 +255,8 @@ class TestPlant:
 
 def dense_closest_sq(coords):
     """The closest-pair expression find_stable_radius once took over all n^2 pairs."""
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):
+        d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     return float(d2.min())
 
@@ -268,7 +269,22 @@ CLOSEST_PAIR_INPUTS = {
     "grid": lambda: PointSet.from_coords(
         [(0.1 * x, 0.1 * y) for x in range(40) for y in range(40)]
     ),
+    # Every square underflows to 0, so every pair is a closest one.
+    "grid_1e-170": lambda: PointSet.from_coords(
+        [(1e-170 * x, 1e-170 * y) for x in range(10) for y in range(10)]
+    ),
+    # The closest squared distance is subnormal.
+    "uniform100_1e-158": lambda: _scaled(sample(UniformSquare(), 100, seed=1), 1e-158),
+    # The extent is past 2**500, where the tree refuses the points and
+    # every pair is evaluated.
+    "uniform100_1e154": lambda: _scaled(sample(UniformSquare(), 100, seed=1), 1e154),
+    # Every square overflows: the closest one is inf.
+    "uniform100_1e300": lambda: _scaled(sample(UniformSquare(), 100, seed=1), 1e300),
 }
+
+
+def _scaled(ps, factor):
+    return PointSet.from_coords(ps.coords * factor)
 
 
 class TestFindStableRadius:
@@ -283,6 +299,7 @@ class TestFindStableRadius:
             tracemalloc.stop()
         assert got.hex() == dense_closest_sq(coords).hex()
         # The dense (n, n, 2) difference array alone is 64 MB at n=2000.
+        # The inputs that take every pair have 100 points.
         assert peak < 2 * 2**20
 
     def test_debug_line_counts_the_trials(self, caplog):
