@@ -220,6 +220,8 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    if not args.eps >= 0:  # also refuses NaN
+        raise _UsageError(f"--eps must be a nonnegative number, not {args.eps!r}")
     ps = _load_points(args.points)
     tri = _load_triangulation(args.triangulation)
     # The count and the first 20 violations of is_valid_delaunay, without

@@ -10,9 +10,11 @@ package rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,9 @@ _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 # underflowed determinant is never taken as certain.
 _ORIENT_UNDERFLOW = 2.0**-1070
 _INCIRCLE_UNDERFLOW = 2.0**-1068  # per unit of 1 + alift + blift + clift
+# ExactIncircle's reference-circle stage; its docstring derives both.
+_REFERENCE_BOUND = 16.0 * _EPS
+_REFERENCE_UNDERFLOW = 2.0**-1068  # per unit of 1 + S + |P_a| + ... + |P_d|
 
 
 class GeometryError(ValueError):
@@ -208,22 +213,98 @@ def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
 class ExactIncircle:
     """Exact incircle signs for many (triangle, point) pairs of one point set.
 
-    The coordinates are scaled to integers by one common power of two, which
-    is exact, and each point is lifted to (X, Y, L = X² + Y²) once.  The
-    in-circle determinant of a ccw triangle abc and a point d is the 4×4
-    determinant with rows (X, Y, L, 1) of a, b, c, d.  Expanding it along
-    d's row gives four cofactors per triangle, so a pair then costs
-    k0·X + k1·Y + k2·L + k3 in Python integers.
+    Rows the float filter of ``incircle`` leaves open are decided in two
+    stages: reference circles in floats, then integers for what they leave.
+
+    Integers.  The coordinates are scaled to integers by one common power of
+    two, which is exact, and each point is lifted to (X, Y, L = X² + Y²).
+    The in-circle determinant of a ccw triangle abc and a point d is the
+    4×4 determinant with rows (X, Y, L, 1) of a, b, c, d; it is positive
+    when d lies inside.  Expanding it along d's row gives four cofactors per
+    triangle, so a pair then costs k0·X + k1·Y + k2·L + k3 in Python
+    integers.
+
+    Reference circles.  For any circle with centre (cx, cy) and squared
+    radius ρ, a point's power P = (X - cx)² + (Y - cy)² - ρ is
+    L - 2cx·X - 2cy·Y + (cx² + cy² - ρ): its lift plus a combination of
+    the X, Y and 1 columns.  Replacing the L column by P is therefore a
+    column operation and keeps the determinant.  Subtracting d's row from the other three
+    and expanding along the P column gives
+
+        det = P_a·M_bc + P_b·M_ca + P_c·M_ab - P_d·(M_bc + M_ca + M_ab),
+
+    where M_bc = b̄x·c̄y - c̄x·b̄y for the translated points b̄ = b - d and
+    c̄ = c - d, and so on cyclically.  Each point's power is computed once,
+    exactly in integers, and rounded to a float; the rest runs in floats
+    on every row at once.  Points near the circle have small powers, so
+    the determinant of nearly cocircular points, which the filter of
+    ``incircle`` cannot tell from 0, becomes a sum of small terms whose
+    rounding is small in proportion.
+
+    The error bound.  The floats are the coordinates times 2**-e, |x| < 1,
+    which is exact (else this stage is off), so no sum or product below
+    overflows.  Let u = 2**-53 and S_bc = |b̄x·c̄y| + |c̄x·b̄y| (likewise
+    S_ca, S_ab; S their sum).  A difference is rounded once, a minor three
+    times more, the sum of the minors twice, each product P·M once, the
+    four-term sum three times and each power once, on conversion.  With
+    P, M and S as computed, this gives
+
+        |det_float - det| <= 12u·(|P_a|·S_bc + |P_b|·S_ca + |P_c|·S_ab
+                                   + |P_d|·S)
+
+    as long as nothing underflows.  ``_REFERENCE_BOUND`` is 16u, which also
+    covers the rounding of the bound itself.  A product or conversion that
+    underflows is off by at most 2**-1075 absolutely; at most about twenty
+    such errors enter, each scaled by at most one of |P| or S, so the
+    absolute term ``_REFERENCE_UNDERFLOW`` times (1 + S + Σ|P|) exceeds
+    them.  A row whose |det_float| exceeds the bound has det's sign;
+    every other row goes to the integers.
+
+    A reference circle is the float circumcircle of the first row no
+    reference has decided, with its centre on the integer grid and its
+    squared radius the exact one through that row's first vertex.  A row
+    whose four points all have power exactly 0 is an exact tie, det = 0,
+    which the integers need not confirm.  The references are kept on the
+    instance.  One costs one exact power per
+    point, about what the integers spend on as many rows, so a new one is
+    built only when the rows the references leave, counted since the last
+    one was built, outnumber the points: the references then never cost
+    more than the integer rows already paid for.  A new reference that
+    decides no row ends the attempt for the call.  ``counts`` tallies the
+    rows each stage decided.
     """
 
     def __init__(self, coords, tris=None):
         """coords: (n, 2) floats; tris: (T, 3) indices of ccw triangles, the
-        rows that ``signs`` reads.  Without tris only the lift is built."""
-        ints = np.array(_as_scaled_ints(coords.ravel().tolist()), dtype=object)
+        rows that ``signs`` reads.  Nothing is computed until a row needs it."""
+        self._coords = np.asarray(coords, dtype=np.float64)
+        self._tris = tris
+        self._references = []  # (float powers, exactly 0) of every point, per circle
+        self._owed = 0  # rows left to the integers since the last reference
+        self.counts = dict(reference=0, integer=0)
+
+    @cached_property
+    def _lifted(self):
+        ints = np.array(_as_scaled_ints(self._coords.ravel().tolist()), dtype=object)
         x, y = ints[0::2], ints[1::2]
-        self._lifted = (x, y, x * x + y * y)
-        if tris is not None:
-            self._cofactors = self._cofactors_of(tris)
+        return x, y, x * x + y * y
+
+    @cached_property
+    def _cofactors(self):
+        return self._cofactors_of(self._tris)
+
+    @cached_property
+    def _unit(self):
+        """(coordinates times 2**-e with all |x| < 1, g with X = x·2**g),
+        or None if that scaling is not exact."""
+        flat = np.abs(self._coords).ravel()
+        top = int(flat.argmax())
+        e = int(np.frexp(flat[top])[1])
+        unit = np.ldexp(self._coords, -e)
+        if not np.array_equal(np.ldexp(unit, e), self._coords):
+            return None
+        x, y, _ = self._lifted
+        return unit, int(abs((x, y)[top % 2][top // 2])).bit_length()
 
     def _cofactors_of(self, tris):
         (xa, xb, xc), (ya, yb, yc), (la, lb, lc) = (v[tris.T] for v in self._lifted)
@@ -239,17 +320,103 @@ class ExactIncircle:
 
     def signs(self, rows, points):
         """int8 signs of incircle(tris[rows[k]], points[k]); POSITIVE = inside."""
-        return self._signs(tuple(k[rows] for k in self._cofactors), points)
+        a, b, c = self._tris[rows].T
+        return self._signs(
+            a, b, c, points, lambda k: tuple(v[rows[k]] for v in self._cofactors)
+        )
 
     def _quad_signs(self, u, v, w, x):
         """int8 signs of incircle(u[k], v[k], w[k], x[k]) for ccw (u, v, w)."""
-        return self._signs(self._cofactors_of(np.stack([u, v, w], axis=1)), x)
+        return self._signs(
+            u, v, w, x, lambda k: self._cofactors_of(np.stack([u[k], v[k], w[k]], axis=1))
+        )
 
-    def _signs(self, cofactors, points):
-        x, y, lift = (v[points] for v in self._lifted)
-        k0, k1, k2, k3 = cofactors
-        det = k0 * x + k1 * y + k2 * lift + k3
-        return (det > 0).astype(np.int8) - (det < 0)
+    def _signs(self, a, b, c, d, cofactors):
+        """The two stages on rows (a, b, c, d); cofactors(k) gives rows k's."""
+        signs = self._reference_signs(a, b, c, d)
+        left = np.flatnonzero(signs == 0)
+        self.counts["reference"] += len(a) - len(left)
+        self.counts["integer"] += len(left)
+        if len(left):
+            x, y, lift = (v[d[left]] for v in self._lifted)
+            k0, k1, k2, k3 = cofactors(left)
+            det = k0 * x + k1 * y + k2 * lift + k3
+            signs[left] = (det > 0).astype(np.int8) - (det < 0)
+        return signs
+
+    def _reference_signs(self, a, b, c, d):
+        """int8 signs the reference circles certify, else 0 (also for the
+        exact ties they find); builds references by the class's cost rule."""
+        signs = np.zeros(len(a), dtype=np.int8)
+        if self._unit is None:
+            return signs
+        left = np.arange(len(a))
+        for k in itertools.count():
+            fresh = k == len(self._references)
+            if fresh:
+                if self._owed + len(left) <= len(self._coords):
+                    break
+                reference = self._power(a[left[0]], b[left[0]], c[left[0]])
+                if reference is None:
+                    break
+                self._references.append(reference)
+                self._owed = 0
+            rows = (v[left] for v in (a, b, c, d))
+            got, done = self._reference_stage(*self._references[k], *rows)
+            signs[left] = got
+            left = left[~done]
+            if not len(left) or fresh and not done.any():
+                break
+        self._owed += len(left)
+        return signs
+
+    def _power(self, a, b, c):
+        """Every point's float power to the reference circle of triangle abc
+        and whether it is exactly 0, or None if the float circumcentre is
+        not finite or lies far out."""
+        unit, g = self._unit
+        (ax, ay), (bx, by), (cx, cy) = unit[[a, b, c]].tolist()
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        den = 2.0 * (bx * cy - by * cx)
+        if den == 0.0:
+            return None
+        b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+        centre = (ax + (cy * b2 - by * c2) / den, ay + (bx * c2 - cx * b2) / den)
+        if not all(abs(v) < 2.0**60 for v in centre):  # also rejects inf and NaN
+            return None
+        x, y, _ = self._lifted
+        # The centre, floored onto the grid of the integers, and the exact
+        # squared radius through a.
+        gx, gy = ((num << g) // q for num, q in map(float.as_integer_ratio, centre))
+        radius2 = (x[a] - gx) ** 2 + (y[a] - gy) ** 2
+        power = (x - gx) ** 2 + (y - gy) ** 2 - radius2
+        scale = 1 << 2 * g  # Python's int / int is correctly rounded
+        return np.array([p / scale for p in power.tolist()]), (power == 0).astype(bool)
+
+    def _reference_stage(self, power, on_circle, a, b, c, d):
+        """(int8 signs, decided) of the rows with this reference: decided
+        where the bound certifies the float sign, or where all four points
+        lie exactly on the circle, which makes det exactly 0."""
+        x, y = self._unit[0].T
+        adx, ady = x[a] - x[d], y[a] - y[d]
+        bdx, bdy = x[b] - x[d], y[b] - y[d]
+        cdx, cdy = x[c] - x[d], y[c] - y[d]
+        bc1, bc2 = bdx * cdy, cdx * bdy
+        ca1, ca2 = cdx * ady, adx * cdy
+        ab1, ab2 = adx * bdy, bdx * ady
+        mbc, mca, mab = bc1 - bc2, ca1 - ca2, ab1 - ab2
+        sbc = np.abs(bc1) + np.abs(bc2)
+        sca = np.abs(ca1) + np.abs(ca2)
+        sab = np.abs(ab1) + np.abs(ab2)
+        s = sbc + sca + sab
+        pa, pb, pc, pd = power[a], power[b], power[c], power[d]
+        det = pa * mbc + pb * mca + pc * mab - pd * (mbc + mca + mab)
+        pa, pb, pc, pd = np.abs(pa), np.abs(pb), np.abs(pc), np.abs(pd)
+        bound = _REFERENCE_BOUND * (pa * sbc + pb * sca + pc * sab + pd * s)
+        bound += _REFERENCE_UNDERFLOW * (1.0 + s + pa + pb + pc + pd)
+        sure = np.abs(det) > bound
+        tie = on_circle[a] & on_circle[b] & on_circle[c] & on_circle[d]
+        return np.where(sure, np.sign(det), 0.0).astype(np.int8), sure | tie
 
 
 def circumcircle(a: Point2, b: Point2, c: Point2) -> Circle:

@@ -14,6 +14,7 @@ smallest completion, so the triangles are a pure function of the points.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -121,8 +122,17 @@ class Triangulation:
 
     @classmethod
     def from_triples(cls, triples) -> "Triangulation":
-        canon = sorted(_canonical_triple(tuple(map(int, t))) for t in triples)
-        return cls(tuple(canon))
+        tris = np.asarray(triples)
+        if tris.dtype.kind not in "iu" or tris.shape[1:] != (3,):
+            # Anything but an integer (T, 3) array, such as JSON floats or
+            # indices beyond int64, is read one triple at a time with int().
+            canon = sorted(_canonical_triple(tuple(map(int, t))) for t in triples)
+            return cls(tuple(canon))
+        # _canonical_triple's rotation: the first smallest index leads.
+        turn = tris.argmin(axis=1)[:, None] + np.arange(3)
+        tris = np.take_along_axis(tris, turn % 3, axis=1)
+        tris = tris[np.lexsort(tris.T[::-1])]
+        return cls(tuple(map(tuple, tris.tolist())))
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -232,20 +242,21 @@ def delaunay(ps: PointSet) -> Triangulation:
     group is re-triangulated to the lexicographically smallest set of index
     triples, so the result is a pure function of the points, whatever the
     seed.  Logs one debug line per call with the seed taken, the rounds,
-    the edges tested, the exact fallbacks, the flips and the tie edges.
+    the edges tested, the exact fallbacks (split into those that reference
+    circles and those that integers decided), the flips and the tie edges.
     """
     if len(ps) < 3:
         raise GeometryError("need at least 3 points")
     seed, tris, quads = _seed(ps)
     tris, (u, v, w, _), ties, counts = _flip_rounds(ps.coords, tris, quads)
     log.debug(
-        "delaunay n=%d: %s seed, %d rounds, %d edges tested, %d exact, "
-        "%d flips, %d ties",
+        "delaunay n=%d: %s seed, %d rounds, %d edges tested, %d exact "
+        "(%d reference, %d integer), %d flips, %d ties",
         len(ps), seed, counts["rounds"], counts["tested"], counts["exact"],
-        counts["flips"], len(ties),
+        counts["reference"], counts["integer"], counts["flips"], len(ties),
     )
     if not len(ties):
-        return Triangulation.from_triples(tris.tolist())
+        return Triangulation.from_triples(tris)
     opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
     return Triangulation.from_triples(
         _break_cocircular_ties(opp, set(zip(u[ties].tolist(), v[ties].tolist())))
@@ -273,15 +284,17 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
     """Legalise ccw triangles that tile the hull by rounds of exact Lawson flips.
 
     A round tests the pending interior edges: the float filter, then
-    ``geom.ExactIncircle`` on the rows it leaves open (the integer lift is
-    built once, when a row first needs it).  Each triangle then goes to its
-    smallest strictly illegal edge, and the edges that get both of their
-    triangles flip.  Their triangle pairs are disjoint, so the flips
-    commute, and the smallest illegal edge always flips.  Only edges of
-    triangles that had an illegal edge are tested again.
+    ``geom.ExactIncircle`` on the rows it leaves open (one instance, so its
+    integer lift and reference circles are built once, when rows need
+    them).  Each triangle then goes to its smallest strictly illegal edge,
+    and the edges that get both of their triangles flip.  Their triangle
+    pairs are disjoint, so the flips commute, and the smallest illegal edge
+    always flips.  Only edges of triangles that had an illegal edge are
+    tested again.
 
     Returns the triangles, their half-edges, the ties and the counts of
-    rounds, edges tested, exact fallbacks and flips.  The ties are the
+    rounds, edges tested, exact fallbacks (and of those, the ones reference
+    circles and integers decided) and flips.  The ties are the
     interior u < v half-edges whose last test gave 0.  An edge's test stays
     current while neither of its triangles changes, and so does its index.
     """
@@ -289,7 +302,7 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
     u, v, w, twin = quads
     last = np.zeros(len(u), dtype=np.int8)
     edges = np.flatnonzero((twin >= 0) & (u < v))
-    exact = None
+    exact = ExactIncircle(coords)
     counts = dict(rounds=0, tested=0, exact=0, flips=0)
     while len(edges):
         counts["rounds"] += 1
@@ -299,8 +312,6 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
         unsure = np.flatnonzero(signs == 0)
         if unsure.size:
             counts["exact"] += unsure.size
-            if exact is None:
-                exact = ExactIncircle(coords)
             signs[unsure] = exact._quad_signs(a[unsure], b[unsure], c[unsure], x[unsure])
         last[edges] = signs
         bad = edges[signs > 0]
@@ -322,7 +333,7 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
         edges = np.flatnonzero((twin >= 0) & (u < v))
         edges = edges[dirty[edges // 3] | dirty[twin[edges] // 3]]
     ties = np.flatnonzero((twin >= 0) & (u < v) & (last == 0))
-    return tris, (u, v, w, twin), ties, counts
+    return tris, (u, v, w, twin), ties, {**counts, **exact.counts}
 
 
 def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
@@ -340,13 +351,14 @@ def _orientations(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _incircle_signs(coords: np.ndarray, u, v, w, x) -> np.ndarray:
+def _incircle_signs(coords: np.ndarray, u, v, w, x, exact=None) -> np.ndarray:
     """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
-    then ``geom.ExactIncircle`` on the rows it cannot certify."""
+    then ``geom.ExactIncircle`` (exact, if given) on the rows it cannot
+    certify."""
     signs = _filter_signs(_incircle_float, coords, u, v, w, x)
     unsure = np.flatnonzero(signs == 0)
     if unsure.size:
-        exact = ExactIncircle(coords)
+        exact = ExactIncircle(coords) if exact is None else exact
         signs[unsure] = exact._quad_signs(u[unsure], v[unsure], w[unsure], x[unsure])
     return signs
 
@@ -592,6 +604,15 @@ def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
 # (triangle, point) pairs per block of the validity scan: the float filter's
 # temporaries and a block's exact decisions then take about a megabyte each.
 _PAIR_BLOCK = 2**13
+# The relative slack of the tree's query radius, and the circumradii and the
+# coordinate bound within which squared distances stay normal floats, so that
+# the tree may propose the candidates (see _violation_blocks).
+_TREE_SLACK = 2.0**-40
+_TREE_RADII = (2.0**-400, 2.0**500)
+_TREE_COORDS = 2.0**500
+# The float scans may overflow or divide by zero; the errstate stays inside
+# each block, so it does not reach the caller between blocks.
+_IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _margins(coords, centers, radii, tri_idx, pt_idx) -> np.ndarray:
@@ -614,12 +635,23 @@ def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> Valid
 
     A violation is a point strictly inside some circumcircle by relative
     margin greater than eps.  With eps=0 every (triangle, point) pair is
-    decided by the exact incircle predicate: the float filter of
-    ``geom.incircle`` settles most pairs and ``geom.ExactIncircle`` the rest,
-    so boundary cocircularity is never a violation.  The margin reported with
-    an eps=0 violation is the float margin if positive, else 0.0.  Pairs are
-    scanned in blocks of about 2**13, so memory does not grow with T·n.
-    Structurally malformed triangulations raise, they do not report invalid.
+    decided by the exact incircle predicate, so boundary cocircularity is
+    never a violation.  The Delaunay lemma decides a valid triangulation
+    from its edges alone: if the triangles tile the hull, every point is a
+    vertex, and no interior edge is strictly illegal (the point across it
+    not strictly inside the circle of the triangle on this side), then the
+    lifted surface is convex along every edge, hence convex, and no lifted
+    point lies strictly below the plane of any lifted triangle: every
+    circumcircle is empty.  Only when some edge is strictly illegal are all
+    pairs scanned: the float filter of ``geom.incircle`` settles most and
+    ``geom.ExactIncircle`` the rest.  The margin reported with an eps=0
+    violation is the float margin if positive, else 0.0.  With eps > 0 a
+    ``cKDTree`` proposes the points near each circle and the float margins
+    of those alone are measured; ``_violation_blocks`` proves that no
+    violation is missed.  The report is that of measuring every pair.
+    Pairs are handled in blocks of about 2**13, so memory does not grow
+    with T·n.  Structurally malformed triangulations raise, they do not
+    report invalid.
     """
     # One int object per triangle, shared by all of its violations.
     tri_ids = np.arange(len(t)).astype(object)
@@ -630,42 +662,144 @@ def is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> Valid
 
 
 def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
-    """The violations of ``is_valid_delaunay``, one block of the scan at a
-    time, as arrays (triangle indices, point indices, margins)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    """The violations of ``is_valid_delaunay``, as arrays (triangle indices,
+    point indices, margins), a block at a time, sorted by (triangle, point).
+
+    eps=0.  ``_structural_check`` ensures that the ccw triangles tile the
+    hull and use every point.  If then no interior edge is strictly
+    illegal, the Delaunay lemma (``is_valid_delaunay``) leaves no violation
+    and nothing is scanned.  An exact tie (incircle 0) at an edge is legal.
+    Otherwise every pair is scanned (``_exact_scan``).
+
+    eps > 0.  With u = 2**-53, write δ for the exact distance from a point
+    p to a float circumcentre c with float radius r.  ``_margins`` rounds
+    the differences, their squares, their sum and the root, so while these
+    stay normal its distance d is within a relative 3u of δ; it reports p
+    when m = fl(fl(r - d) / r) > eps.  Rounding is monotone, so that needs
+    fl(r - d) / r > eps, then r - d > eps·r / (1 + u), and so
+
+        δ < (r - eps·r / (1 + u))(1 + 4u) < (r(1 - eps) + r·u)(1 + 4u).
+
+    The tree rounds the same differences, squares them and adds, so its
+    squared distance is within a relative 5u of δ², and it keeps p when
+    that is at most the square of its query radius.  Its pruning of boxes
+    compares distances that are monotone in the same rounded terms, and
+    its incremental updates err by about u per level.  The query radius is
+    R = r·((1 - eps)(1 + s) + s) with s = 2**-40, computed to within a
+    relative 4u (clamped at 0, for eps > 1, where no margin can exceed eps:
+    m <= 1).  Since s exceeds those few u by more than a thousand times,
+    R² exceeds every such δ² by more than the rounding on either side, so
+    the tree proposes every reported pair.  The margins of the candidates
+    are computed by ``_margins`` itself, bit for bit as in a full scan.
+    The bounds need the squares to stay normal, so every point is a
+    candidate of a circle whose radius is not finite or lies outside
+    [2**-400, 2**500], and of every circle of a set with a coordinate of
+    magnitude 2**500 or more.  (A radius in range also puts the centre,
+    a + (ux, uy) with |ux|, |uy| <= r, within 2**501 of the origin.)  (A radius of 2**-400 keeps
+    R² above 2**-884 even at eps near 1, so the absolute errors of
+    underflowed squares, below 2**-1070, are far under s·R².)
+
+    Logs one debug line on this module's logger with the path taken
+    (lemma, tree or dense), the candidate pairs, and the pairs decided by
+    the float filter, by reference circles and by integers.
+    """
+    if not eps >= 0:
+        raise ValueError("eps must be a nonnegative number")
     tris = np.array(_structural_check(ps, t), dtype=np.intp)
     coords = ps.coords
-    points = np.arange(len(ps))[None, :]
-    block = max(1, _PAIR_BLOCK // len(ps))
-    exact = None
-    # The float scan may overflow or divide by zero; the errstate stays
-    # inside each block, so it does not reach the caller between blocks.
-    ignore = dict(divide="ignore", invalid="ignore", over="ignore")
-    with np.errstate(**ignore):
+    exact = ExactIncircle(coords, tris)
+    if eps == 0.0:
+        u, v, w, twin = _edge_quads(tris)
+        inner = np.flatnonzero((twin >= 0) & (u < v))
+        legal = _incircle_signs(coords, u[inner], v[inner], w[inner], w[twin[inner]], exact)
+        counts = dict(path="lemma", candidates=len(inner))
+        counts["filter"] = len(inner) - sum(exact.counts.values())
+        scan = ()
+        if (legal > 0).any():
+            counts["path"] = "dense"
+            scan = _exact_scan(coords, tris, exact, counts)
+    else:
+        counts = dict(path="dense", candidates=0, filter=0)
+        scan = _margin_scan(coords, tris, eps, counts)
+    found = 0
+    for block in scan:
+        found += len(block[0])
+        yield block
+    log.debug(
+        "validity n=%d, %d triangles, eps=%r: %s path, %d candidates, %d filter, "
+        "%d reference, %d integer, %d violations",
+        len(ps), len(tris), eps, counts["path"], counts["candidates"], counts["filter"],
+        exact.counts["reference"], exact.counts["integer"], found,
+    )
+
+
+def _exact_scan(coords, tris, exact, counts):
+    """The eps=0 violations among all (triangle, point) pairs, a block of
+    triangles at a time; adds the pairs and the filter's decisions to counts."""
+    with np.errstate(**_IGNORE):
         centers, radii = _circumcircles_array(coords, tris)
+    points = np.arange(len(coords))[None, :]
+    block = max(1, _PAIR_BLOCK // len(coords))
     for lo in range(0, len(tris), block):
         own = tris[lo : lo + block]
         rows = np.arange(len(own))[:, None]
-        with np.errstate(**ignore):
-            if eps == 0.0:
-                signs = _filter_signs(_incircle_float, coords, *np.hsplit(own, 3), points)
-                signs[rows, own] = -1  # a triangle's own vertices lie on its circle
-                unsure = np.nonzero(signs == 0)
-                if unsure[0].size:
-                    if exact is None:
-                        exact = ExactIncircle(coords, tris)
-                    signs[unsure] = exact.signs(lo + unsure[0], unsure[1])
-                ti, pi = np.nonzero(signs > 0)
-                m = _margins(coords, centers, radii, lo + ti, pi)
-                margins = np.where(m > 0.0, m, 0.0)  # NaN becomes 0.0 too
-            else:
-                m = _margins(coords, centers, radii, lo + rows, points)
-                m[rows, own] = -np.inf
-                ti, pi = np.nonzero(m > eps)
-                margins = m[ti, pi]
+        with np.errstate(**_IGNORE):
+            signs = _filter_signs(_incircle_float, coords, *np.hsplit(own, 3), points)
+            signs[rows, own] = -1  # a triangle's own vertices lie on its circle
+            unsure = np.nonzero(signs == 0)
+            counts["candidates"] += signs.size
+            counts["filter"] += signs.size - own.size - unsure[0].size
+            if unsure[0].size:
+                signs[unsure] = exact.signs(lo + unsure[0], unsure[1])
+            ti, pi = np.nonzero(signs > 0)
+            m = _margins(coords, centers, radii, lo + ti, pi)
+            margins = np.where(m > 0.0, m, 0.0)  # NaN becomes 0.0 too
         if len(ti):
             yield lo + ti, pi, margins
+
+
+def _margin_scan(coords, tris, eps, counts):
+    """The eps > 0 violations, a block at a time: the float margins of the
+    tree's candidates, and of every point for the circles the tree cannot
+    serve (``_violation_blocks``).  Sets the path in counts to "tree" when
+    the tree serves some circle, and adds the candidates."""
+    n = len(coords)
+    with np.errstate(**_IGNORE):
+        centers, radii = _circumcircles_array(coords, tris)
+        # NaN and inf fail the range too.
+        served = (radii >= _TREE_RADII[0]) & (radii <= _TREE_RADII[1])
+        if np.abs(coords).max() >= _TREE_COORDS:
+            served[:] = False
+        reach = np.maximum(radii * ((1.0 - eps) * (1.0 + _TREE_SLACK) + _TREE_SLACK), 0.0)
+    sizes = np.full(len(tris), n)
+    if served.any():
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(coords)
+        sizes[served] = tree.query_ball_point(centers[served], reach[served], return_length=True)
+        counts["path"] = "tree"
+    # Blocks of about max(2**13, n) candidates.  A served circle with none
+    # is not queried again.
+    cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // max(_PAIR_BLOCK, n))) + 1
+    for rows in np.split(np.arange(len(tris)), cuts):
+        near = rows[served[rows] & (sizes[rows] > 0)]
+        full = rows[~served[rows]]
+        lists = []
+        if len(near):
+            lists = tree.query_ball_point(centers[near], reach[near], return_sorted=False)
+        lens = np.fromiter(map(len, lists), np.intp, len(near))
+        ti = np.concatenate([np.repeat(near, lens), np.repeat(full, n)])
+        pi = np.concatenate([
+            np.fromiter(itertools.chain.from_iterable(lists), np.intp, lens.sum()),
+            np.tile(np.arange(n), len(full)),
+        ])
+        counts["candidates"] += len(ti)
+        with np.errstate(**_IGNORE):
+            m = _margins(coords, centers, radii, ti, pi)
+        hit = np.flatnonzero((m > eps) & (pi[:, None] != tris[ti]).all(axis=1))
+        hit = hit[np.lexsort((pi[hit], ti[hit]))]
+        if len(hit):
+            yield ti[hit], pi[hit], m[hit]
 
 
 # --------------------------------------------------------------------------

@@ -230,20 +230,26 @@ def _debug_counts(caplog, ps):
     assert len(lines) == 1
     m = re.fullmatch(
         r"delaunay n=(\d+): (joggled|plain|sweep) seed, (\d+) rounds, "
-        r"(\d+) edges tested, (\d+) exact, (\d+) flips, (\d+) ties",
+        r"(\d+) edges tested, (\d+) exact \((\d+) reference, (\d+) integer\), "
+        r"(\d+) flips, (\d+) ties",
         lines[0],
     )
     assert m, lines[0]
     n, seed, *rest = m.groups()
     assert int(n) == len(ps)
-    return dict(seed=seed, **dict(zip(("rounds", "tested", "exact", "flips", "ties"),
-                                      map(int, rest))))
+    names = ("rounds", "tested", "exact", "reference", "integer", "flips", "ties")
+    counts = dict(zip(names, map(int, rest)))
+    assert counts["exact"] == counts["reference"] + counts["integer"]
+    return dict(seed=seed, **counts)
 
 
 def test_debug_line_names_the_seed_and_counts_the_flips(caplog):
     chew = _debug_counts(caplog, CORPUS["chew512"]())
     assert chew["seed"] == "joggled" and chew["flips"] > 0
     assert chew["rounds"] >= 2 and chew["tested"] >= chew["exact"] > 0
+    # Its 512 points lie on one circle: once the integers have decided more
+    # rows than that, a reference circle decides most of the rest.
+    assert chew["reference"] > chew["integer"]
     grid = _debug_counts(caplog, CORPUS["grid20"]())
     # Every unit square of the grid is one cocircular tie.
     assert grid["seed"] == "plain" and grid["ties"] == 19 * 19

@@ -239,6 +239,14 @@ class TestVerify:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json"), str(tmp_path / "nope2.json")]) == 2
 
+    @pytest.mark.parametrize("eps", ["-1", "-0.5e-9", "nan", "-inf"])
+    def test_negative_or_nan_eps_exit_2(self, eps, tmp_path, capsys):
+        ppath, tpath = write_square(tmp_path, tris=[(0, 1, 2), (0, 2, 3)])
+        assert main(["verify", str(ppath), str(tpath), f"--eps={eps}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --eps must be a nonnegative number, not {float(eps)!r}\n"
+
 
 class TestRandomAndPlant:
     def test_random_medians_nondecreasing(self, tmp_path, capsys):

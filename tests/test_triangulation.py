@@ -14,6 +14,7 @@ from delaunay_dilation.triangulation import (
     RealizationError,
     Triangulation,
     TriangulationStructureError,
+    _canonical_triple,
     _delaunay_certificate,
     _mix_seed,
     _target_arrays,
@@ -58,6 +59,36 @@ class TestPointSet:
         t = Triangulation.from_triples([(2, 0, 1), (0, 2, 3)])
         again = triangulation_from_json(triangulation_to_json(t))
         assert again.triangles == t.triangles
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_triples_is_the_canonical_triple_loop(self, seed):
+        # Small index ranges give repeated indices and repeated triples.
+        rng = np.random.default_rng(seed)
+        tris = rng.integers(-2, 1 + 4 * seed, size=(int(rng.integers(0, 60)), 3))
+        loop = tuple(sorted(_canonical_triple(tuple(map(int, t))) for t in tris.tolist()))
+        for given in (tris, tris.astype(np.uint32) if tris.min(initial=0) >= 0 else tris,
+                      tris.tolist(), [tuple(t) for t in tris.tolist()]):
+            got = Triangulation.from_triples(given).triangles
+            assert got == loop
+            assert all(type(i) is int for t in got for i in t)
+
+    def test_from_triples_reads_other_input_with_int(self):
+        assert Triangulation.from_triples([]).triangles == ()
+        assert Triangulation.from_triples(np.zeros((0, 3), dtype=np.int64)).triangles == ()
+        floats = Triangulation.from_triples([[2.0, 0.0, 1.0], [3, 1.0, 0]])
+        assert floats.triangles == ((0, 1, 2), (0, 3, 1))
+        big = Triangulation.from_triples([(2**70, 1, 2)])
+        assert big.triangles == ((1, 2, 2**70),)
+        assert Triangulation.from_triples(t for t in [(1, 2, 0)]).triangles == ((0, 1, 2),)
+        for bad in ([[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [4, 5]], [[1, 2, 3, 4, 5, 6]]):
+            with pytest.raises(ValueError):
+                Triangulation.from_triples(bad)
+
+    def test_target_arrays_refuses_what_from_triples_would_reorder(self):
+        canonical = Triangulation.from_triples([(2, 0, 1), (0, 2, 3)])
+        assert _target_arrays(canonical, 4) is not None
+        for triangles in (((0, 2, 3), (0, 1, 2)), ((1, 2, 0), (0, 2, 3))):
+            assert _target_arrays(Triangulation(triangles), 4) is None
 
 
 class TestDelaunay:
