@@ -21,7 +21,7 @@ from .dilation import (
     pairs_to_csv,
     report_to_json,
 )
-from .geom import GeometryError, Point2
+from .geom import GeometryError
 from .svg import render_svg
 from .triangulation import (
     PointSet,
@@ -284,17 +284,10 @@ def _planted_config(kind: str, args) -> PointSet:
         out = cons.generate_three_circle(cons.ThreeCircleSpec(arc_density=60.0))
     else:
         raise _UsageError(f"unknown config kind {kind!r}")
-    unique = make_unique_delaunay(out.points, out.triangulation, budget=1e-6)
-    xs = [p.x for p in unique]
-    ys = [p.y for p in unique]
-    span = max(max(xs) - min(xs), max(ys) - min(ys))
-    s = 0.8 / span
-    return PointSet(
-        tuple(
-            Point2(0.1 + s * (p.x - min(xs)), 0.1 + s * (p.y - min(ys)))
-            for p in unique
-        )
-    )
+    coords = make_unique_delaunay(out.points, out.triangulation, budget=1e-6).coords
+    low = coords.min(axis=0)
+    s = 0.8 / (coords.max(axis=0) - low).max()
+    return PointSet(0.1 + s * (coords - low))
 
 
 def _cmd_plant(args) -> int:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import (
     Circle,
     GeometryError,
@@ -334,7 +336,7 @@ def generate_chew(spec: ChewSpec) -> ConstructionOutput:
     tris = _funnel(pts, 0, side_a, side_b, terminal=half)
     return ConstructionOutput(
         points=PointSet(tuple(pts)),
-        triangulation=Triangulation.from_triples(tris),
+        triangulation=Triangulation(tris),
         p=0,
         q=half,
         predicted_dilation=half * math.sin(math.pi / n),
@@ -399,7 +401,7 @@ def generate_two_semicircle(spec: TwoSemicircleSpec) -> ConstructionOutput:
 
     return ConstructionOutput(
         points=PointSet(tuple(pts)),
-        triangulation=Triangulation.from_triples(tris),
+        triangulation=Triangulation(tris),
         p=p_idx,
         q=q_idx,
         predicted_dilation=closed_form_t(d, alpha)[1],
@@ -597,14 +599,10 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
             strip_bot.append((br, coords[br].x))
 
     # Replace each circle's cocircular block with its route-preserving ladder.
-    kept = [
-        tri
-        for tri in built.triangles
-        if not (
-            set(tri) <= left_ids or set(tri) <= right_ids or set(tri) <= big_family
-        )
-    ]
-    tris = list(kept)
+    block = np.zeros(len(built), dtype=bool)
+    for ids in (left_ids, right_ids, big_family):
+        block |= np.isin(built.array, list(ids)).all(axis=1)
+    tris = built.array[~block].tolist()
     tris += _funnel(coords, p_idx, left_top, left_bot, check_rungs=True)
     tris += _funnel(coords, q_idx, right_top, right_bot, check_rungs=True)
     tris += _ladder(coords, strip_top, strip_bot)[0]
@@ -616,7 +614,7 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
 
     return ConstructionOutput(
         points=ps,
-        triangulation=Triangulation.from_triples(tris),
+        triangulation=Triangulation(tris),
         p=p_idx,
         q=q_idx,
         predicted_dilation=route / ell,

@@ -72,7 +72,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geom import GeometryError, dist
-from .triangulation import PointSet, Triangulation
+from .triangulation import PointSet, Triangulation, _index_array, _repeats
 
 __all__ = [
     "EuclideanGraph",
@@ -99,55 +99,47 @@ _REFINE = 4
 _SLACK = 1e-9
 
 
-@dataclass(frozen=True)
 class EuclideanGraph:
-    """Undirected graph whose edge weights are the endpoint distances."""
+    """Undirected graph whose edge weights are the endpoint distances.
 
-    points: PointSet
-    edges: tuple[tuple[int, int], ...]
+    The edges are stored once, as the read-only (E, 2) int64 array
+    ``edge_array``; ``edges`` is a tuple view of it, and the weights and the
+    sparse matrix are derived from it.
+    """
 
-    def __post_init__(self):
-        n = len(self.points)
-        seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise GeometryError(f"bad edge {(u, v)}")
-            # The sparse matrix would sum the weights of a repeated edge.
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GeometryError(f"repeated edge {(u, v)}")
-            seen.add(key)
+    def __init__(self, points: PointSet, edges):
+        """edges: an (E, 2) array or an iterable of index pairs."""
+        e = _index_array(edges, 2)
+        n = len(points)
+        bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
+        # The sparse matrix would sum the weights of a repeated edge.
+        keys = np.minimum(*e.T) * n + np.maximum(*e.T)
+        wrong = np.flatnonzero(bad | _repeats(keys[:, None]))
+        if len(wrong):
+            k = wrong[0]
+            why = "bad" if bad[k] else "repeated"
+            raise GeometryError(f"{why} edge {tuple(e[k].tolist())}")
+        e.flags.writeable = False
+        self.points, self.edge_array = points, e
 
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(dist(self.points[u], self.points[v]) for u, v in self.edges)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(len(self.points))]
-        for (u, v), w in zip(self.edges, self.weights):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for lst in adj:
-            lst.sort()
-        return tuple(tuple(lst) for lst in adj)
+    @property
+    def weights(self) -> np.ndarray:
+        """Edge lengths by ``math.hypot``, as ``geom.dist`` measures them;
+        ``np.hypot`` differs from it in the last bit on some edges."""
+        coords = self.points.coords
+        dx, dy = (coords[self.edge_array[:, 0]] - coords[self.edge_array[:, 1]]).T
+        return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
 
     @cached_property
     def _csr(self) -> csr_matrix:
+        """Each edge once in each direction; the column indices ascend."""
         n = len(self.points)
-        rows, cols, vals = [], [], []
-        for (u, v), w in zip(self.edges, self.weights):
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, w]
-        return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    def check_weights(self) -> bool:
-        """Recompute every weight from coordinates; exact equality."""
-        return all(
-            w == dist(self.points[u], self.points[v])
-            for (u, v), w in zip(self.edges, self.weights)
-        )
+        u, v = np.concatenate([self.edge_array, self.edge_array[:, ::-1]]).T
+        return csr_matrix((np.tile(self.weights, 2), (u, v)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,7 @@ class DilationReport:
 
 
 def graph_from_triangulation(ps: PointSet, t: Triangulation) -> EuclideanGraph:
-    return EuclideanGraph(points=ps, edges=t.edges)
+    return EuclideanGraph(ps, t.edge_array)
 
 
 def shortest_path(g: EuclideanGraph, u: int, v: int) -> tuple[float, list[int]]:
@@ -174,7 +166,7 @@ def shortest_path(g: EuclideanGraph, u: int, v: int) -> tuple[float, list[int]]:
     if u == v:
         return 0.0, [u]
 
-    adj = g.adjacency
+    starts, heads, weights = (a.tolist() for a in (g._csr.indptr, g._csr.indices, g._csr.data))
     distv: dict[int, float] = {u: 0.0}
     parent: dict[int, int] = {}
     done: set[int] = set()
@@ -194,7 +186,8 @@ def shortest_path(g: EuclideanGraph, u: int, v: int) -> tuple[float, list[int]]:
         done.add(x)
         if x == v:
             break
-        for y, w in adj[x]:
+        lo, hi = starts[x], starts[x + 1]
+        for y, w in zip(heads[lo:hi], weights[lo:hi]):
             if y in done:
                 continue
             nd = d + w
@@ -228,8 +221,9 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     n = len(g.points)
     if n < 2:
         raise GeometryError("need at least 2 vertices")
-    x, y = g.points.coords.T
-    marks = _landmarks(g.points.coords, max(1, n // _LANDMARK_SPACING))
+    coords = g.points.coords
+    x, y = coords.T
+    marks = _landmarks(coords, max(1, n // _LANDMARK_SPACING))
     land = _csgraph_dijkstra(g._csr, directed=True, indices=marks)
     if np.isinf(land[0]).any():
         raise GeometryError("graph is disconnected")
@@ -275,7 +269,7 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
 
     _, wi, wj = best
     _, path = shortest_path(g, wi, wj)
-    value = _path_length(g.points.coords, path) / dist(g.points[wi], g.points[wj])
+    value = _path_length(coords, path) / math.hypot(*(coords[wi] - coords[wj]).tolist())
     pairs = None
     if rows is not None:
         pairs = tuple(

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import GeometryError, Point2, dist
+from .geom import GeometryError
 from .dilation import graph_from_triangulation, max_dilation
 from .triangulation import (
     AllCollinearError,
     PointSet,
     Triangulation,
     _mix_seed,
+    _repeats,
     _StabilityTrials,
     delaunay,
 )
@@ -152,17 +153,12 @@ def sample(density: DensitySpec, n: int, seed: int) -> PointSet:
     if n < 3:
         raise ValueError("n must be at least 3")
     rng = np.random.default_rng(seed)
-    pts: list[tuple[float, float]] = []
-    seen: set[tuple[float, float]] = set()
+    pts = np.empty((0, 2))
     for _ in range(_MAX_SAMPLE_ROUNDS):
-        for x, y in density.draw(rng, n - len(pts)):
-            key = (float(x), float(y))
-            if key in seen:
-                continue
-            seen.add(key)
-            pts.append(key)
+        pts = np.concatenate([pts, density.draw(rng, n - len(pts))])
+        pts = pts[~_repeats(pts)]
         if len(pts) == n:
-            return PointSet.from_coords(pts)
+            return PointSet(pts)
     raise ValueError(
         f"density repeated its draws: {len(pts)} distinct of {n} points "
         f"after {_MAX_SAMPLE_ROUNDS} rounds"
@@ -263,16 +259,11 @@ class PlantSpec:
         if self.ball_radius < 0 or self.box_scale <= 0 or self.n_outside < 0:
             raise ValueError("bad plant parameters")
         delta = self.ball_radius
-        pts = list(self.config)
-        for p in pts:
-            if not (delta < p.x < 1 - delta and delta < p.y < 1 - delta):
-                raise ValueError(
-                    "configuration balls must fit strictly inside the unit box"
-                )
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                if dist(p, q) <= 2 * delta:
-                    raise ValueError("configuration balls must be disjoint")
+        coords = self.config.coords
+        if not ((delta < coords) & (coords < 1 - delta)).all():
+            raise ValueError("configuration balls must fit strictly inside the unit box")
+        if len(coords) > 1 and math.sqrt(_closest_sq_distance(coords)) <= 2 * delta:
+            raise ValueError("configuration balls must be disjoint")
 
 
 def plant(spec: PlantSpec, density: DensitySpec, seed: int) -> PointSet:
@@ -285,30 +276,25 @@ def plant(spec: PlantSpec, density: DensitySpec, seed: int) -> PointSet:
     rng = np.random.default_rng(seed)
     a = spec.box_scale
     bx, by = spec.box_offset
-    pts: list[tuple[float, float]] = []
-    for p in spec.config:
+    pts = []
+    for x, y in spec.config.coords.tolist():
         r = spec.ball_radius * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
-        pts.append(
-            (a * (p.x + r * math.cos(ang)) + bx, a * (p.y + r * math.sin(ang)) + by)
-        )
+        pts.append((a * (x + r * math.cos(ang)) + bx, a * (y + r * math.sin(ang)) + by))
 
-    outside: list[tuple[float, float]] = []
+    outside = np.empty((0, 2))
     draws = 0
     while len(outside) < spec.n_outside:
         batch = density.draw(rng, max(64, spec.n_outside))
         draws += len(batch)
-        for x, y in batch:
-            if bx <= x <= bx + a and by <= y <= by + a:
-                continue
-            outside.append((float(x), float(y)))
-            if len(outside) == spec.n_outside:
-                break
+        x, y = batch.T
+        inside = (bx <= x) & (x <= bx + a) & (by <= y) & (y <= by + a)
+        outside = np.concatenate([outside, batch[~inside]])[: spec.n_outside]
         if draws > _MAX_REJECTION_DRAWS:
             raise GeometryError(
                 "rejection sampling failed: density concentrated inside the box"
             )
-    return PointSet.from_coords(pts + outside)
+    return PointSet(np.concatenate([np.reshape(pts, (-1, 2)), outside]))
 
 
 def invariance_check(ps: PointSet, a: float, b: tuple[float, float], seed: int) -> bool:
@@ -325,17 +311,14 @@ def invariance_check(ps: PointSet, a: float, b: tuple[float, float], seed: int) 
         raise GeometryError(
             "point set has cocircular ties; perturb it before checking invariance"
         )
-    span = max(
-        max(p.x for p in ps) - min(p.x for p in ps),
-        max(p.y for p in ps) - min(p.y for p in ps),
-    )
+    span = np.ptp(ps.coords, axis=0).max()
     if not trials.stable(delta=1e-12 * span, trials=2, seed=seed):
         raise GeometryError(
             "point set is unstable under tiny perturbation; perturb it first"
         )
     base = max_dilation(graph_from_triangulation(ps, tri)).max_dilation
 
-    moved = PointSet(tuple(Point2(a * p.x + b[0], a * p.y + b[1]) for p in ps))
+    moved = PointSet(a * ps.coords + np.asarray(b))
     tri2 = delaunay(moved)
     other = max_dilation(graph_from_triangulation(moved, tri2)).max_dilation
     return abs(other - base) <= 1e-9 * base

@@ -262,10 +262,8 @@ class ExactIncircle:
 
     A reference circle is the float circumcircle of the first row no
     reference has decided, with its centre on the integer grid and its
-    squared radius the exact one through that row's first vertex.  A row
-    whose four points all have power exactly 0 is an exact tie, det = 0,
-    which the integers need not confirm.  The references are kept on the
-    instance.  One costs one exact power per
+    squared radius the exact one through that row's first vertex.  The
+    references are kept on the instance.  One costs one exact power per
     point, about what the integers spend on as many rows, so a new one is
     built only when the rows the references leave, counted since the last
     one was built, outnumber the points: the references then never cost
@@ -279,7 +277,7 @@ class ExactIncircle:
         rows that ``signs`` reads.  Nothing is computed until a row needs it."""
         self._coords = np.asarray(coords, dtype=np.float64)
         self._tris = tris
-        self._references = []  # (float powers, exactly 0) of every point, per circle
+        self._references = []  # the float powers of every point, per circle
         self._owed = 0  # rows left to the integers since the last reference
         self.counts = dict(reference=0, integer=0)
 
@@ -345,8 +343,8 @@ class ExactIncircle:
         return signs
 
     def _reference_signs(self, a, b, c, d):
-        """int8 signs the reference circles certify, else 0 (also for the
-        exact ties they find); builds references by the class's cost rule."""
+        """int8 signs the reference circles certify, else 0; builds
+        references by the class's cost rule."""
         signs = np.zeros(len(a), dtype=np.int8)
         if self._unit is None:
             return signs
@@ -362,7 +360,7 @@ class ExactIncircle:
                 self._references.append(reference)
                 self._owed = 0
             rows = (v[left] for v in (a, b, c, d))
-            got, done = self._reference_stage(*self._references[k], *rows)
+            got, done = self._reference_stage(self._references[k], *rows)
             signs[left] = got
             left = left[~done]
             if not len(left) or fresh and not done.any():
@@ -371,9 +369,8 @@ class ExactIncircle:
         return signs
 
     def _power(self, a, b, c):
-        """Every point's float power to the reference circle of triangle abc
-        and whether it is exactly 0, or None if the float circumcentre is
-        not finite or lies far out."""
+        """Every point's float power to the reference circle of triangle abc,
+        or None if the float circumcentre is not finite or lies far out."""
         unit, g = self._unit
         (ax, ay), (bx, by), (cx, cy) = unit[[a, b, c]].tolist()
         bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
@@ -391,12 +388,11 @@ class ExactIncircle:
         radius2 = (x[a] - gx) ** 2 + (y[a] - gy) ** 2
         power = (x - gx) ** 2 + (y - gy) ** 2 - radius2
         scale = 1 << 2 * g  # Python's int / int is correctly rounded
-        return np.array([p / scale for p in power.tolist()]), (power == 0).astype(bool)
+        return np.array([p / scale for p in power.tolist()])
 
-    def _reference_stage(self, power, on_circle, a, b, c, d):
+    def _reference_stage(self, power, a, b, c, d):
         """(int8 signs, decided) of the rows with this reference: decided
-        where the bound certifies the float sign, or where all four points
-        lie exactly on the circle, which makes det exactly 0."""
+        where the bound certifies the float sign."""
         x, y = self._unit[0].T
         adx, ady = x[a] - x[d], y[a] - y[d]
         bdx, bdy = x[b] - x[d], y[b] - y[d]
@@ -415,8 +411,7 @@ class ExactIncircle:
         bound = _REFERENCE_BOUND * (pa * sbc + pb * sca + pc * sab + pd * s)
         bound += _REFERENCE_UNDERFLOW * (1.0 + s + pa + pb + pc + pd)
         sure = np.abs(det) > bound
-        tie = on_circle[a] & on_circle[b] & on_circle[c] & on_circle[d]
-        return np.where(sure, np.sign(det), 0.0).astype(np.int8), sure | tie
+        return np.where(sure, np.sign(det), 0.0).astype(np.int8), sure
 
 
 def circumcircle(a: Point2, b: Point2, c: Point2) -> Circle:

@@ -25,8 +25,8 @@ def render_svg(
     annotation: str | None = None,
     width: int = 800,
 ) -> str:
-    xs = [p.x for p in ps]
-    ys = [p.y for p in ps]
+    pts = ps.coords.tolist()
+    xs, ys = ps.coords.T.tolist()
     for cx, cy, r in circles or []:
         xs += [cx - r, cx + r]
         ys += [cy - r, cy + r]
@@ -58,16 +58,16 @@ def render_svg(
         )
 
     if tri is not None:
-        for u, v in tri.edges:
-            a, b = ps[u], ps[v]
+        for u, v in tri.edge_array.tolist():
+            (ax, ay), (bx, by) = pts[u], pts[v]
             out.append(
-                f'<line x1="{_fmt(a.x)}" y1="{_fmt(fy(a.y))}" '
-                f'x2="{_fmt(b.x)}" y2="{_fmt(fy(b.y))}" stroke="#4477aa"/>\n'
+                f'<line x1="{_fmt(ax)}" y1="{_fmt(fy(ay))}" '
+                f'x2="{_fmt(bx)}" y2="{_fmt(fy(by))}" stroke="#4477aa"/>\n'
             )
 
     if report is not None and len(report.witness_path) > 1:
         coords = " ".join(
-            f"{_fmt(ps[i].x)},{_fmt(fy(ps[i].y))}" for i in report.witness_path
+            f"{_fmt(pts[i][0])},{_fmt(fy(pts[i][1]))}" for i in report.witness_path
         )
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="#cc2222" '
@@ -75,16 +75,16 @@ def render_svg(
         )
 
     r_pt = 2.2 * scale
-    for p in ps:
+    for x, y in pts:
         out.append(
-            f'<circle cx="{_fmt(p.x)}" cy="{_fmt(fy(p.y))}" r="{_fmt(r_pt)}" '
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(fy(y))}" r="{_fmt(r_pt)}" '
             'fill="#222222"/>\n'
         )
     if marked is not None:
         for i in marked:
-            p = ps[i]
+            x, y = pts[i]
             out.append(
-                f'<circle cx="{_fmt(p.x)}" cy="{_fmt(fy(p.y))}" '
+                f'<circle cx="{_fmt(x)}" cy="{_fmt(fy(y))}" '
                 f'r="{_fmt(3.5 * r_pt)}" fill="none" stroke="#cc2222"/>\n'
             )
 

@@ -1,13 +1,14 @@
 """Indexed triangulations and a robust Delaunay builder.
 
-Triangulations are plain lists of index triples over a PointSet; adjacency is
-derived on demand.  The Delaunay builder takes the first seed triangulation
-that tiles the hull under exact orientations: Qhull joggled, Qhull with its
-default options, then an exact x-sweep.  Rounds of Lawson flips legalise it,
-each a vectorised float filter of the incircle predicate, exact integer signs
-for the rows the filter leaves open, and a set of flips on disjoint triangle
-pairs, so cocircular and collinear degeneracies are handled without
-tolerances.  Every flip lowers the lifted surface, so the rounds end.
+A PointSet is one (n, 2) float array and a Triangulation one (T, 3) index
+array; edges and adjacency are derived from them on demand.  The Delaunay
+builder takes the first seed triangulation that tiles the hull under exact
+orientations: Qhull joggled, Qhull with its default options, then an exact
+x-sweep.  Rounds of Lawson flips legalise it, each a vectorised float filter
+of the incircle predicate, exact integer signs for the rows the filter leaves
+open, and a set of flips on disjoint triangle pairs, so cocircular and
+collinear degeneracies are handled without tolerances.  Every flip lowers the
+lifted surface, so the rounds end.
 Exactly cocircular groups are re-triangulated to the lexicographically
 smallest completion, so the triangles are a pure function of the points.
 """
@@ -19,7 +20,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -34,7 +34,6 @@ from .geom import (
     _incircle_float,
     _orient2d_exact,
     _orient2d_float,
-    dist,
     orient2d,
 )
 
@@ -72,79 +71,129 @@ class RealizationError(GeometryError):
     """No perturbation within budget realizes the requested triangulation."""
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Ordered, duplicate-free points with stable integer indices."""
+    """Ordered, duplicate-free points with stable integer indices.
 
-    points: tuple[Point2, ...]
+    The points are stored once, as the read-only (n, 2) float64 array
+    ``coords``.  ``ps[i]``, iteration and ``points`` are ``Point2`` views of
+    it, built on demand.
+    """
 
-    def __post_init__(self):
-        seen = {}
-        for i, p in enumerate(self.points):
-            key = (p.x, p.y)
-            if key in seen:
-                raise GeometryError(f"duplicate point at indices {seen[key]} and {i}")
-            seen[key] = i
+    def __init__(self, points):
+        """points: an (n, 2) array, or an iterable of (x, y) pairs or Point2s.
 
-    @classmethod
-    def from_coords(cls, coords) -> "PointSet":
-        return cls(tuple(Point2(float(x), float(y)) for x, y in coords))
+        Raises GeometryError for anything else, for a coordinate that is not
+        finite and for a repeated point.
+        """
+        coords = _rows(points, 2, np.float64)
+        bad = ~np.isfinite(coords).all(axis=1)
+        if bad.any():
+            x, y = coords[bad.argmax()].tolist()
+            raise GeometryError(f"non-finite coordinates ({x!r}, {y!r})")
+        repeat = _repeats(coords)
+        if repeat.any():
+            j = int(repeat.argmax())
+            i = int((coords[:j] == coords[j]).all(axis=1).argmax())
+            raise GeometryError(f"duplicate point at indices {i} and {j}")
+        coords.flags.writeable = False
+        self.coords = coords
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __getitem__(self, i: int) -> Point2:
-        return self.points[i]
+        return Point2(*self.coords[i].tolist())
 
     def __iter__(self):
         return iter(self.points)
 
-    @cached_property
-    def coords(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64).reshape(-1, 2)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and np.array_equal(self.coords, other.coords)
+
+    @property
+    def points(self) -> tuple[Point2, ...]:
+        return tuple(Point2(x, y) for x, y in self.coords.tolist())
 
 
-def _canonical_triple(t) -> tuple[int, int, int]:
-    """Rotate so the smallest index leads; cyclic order (orientation) kept."""
-    a, b, c = t
-    if a <= b and a <= c:
-        return (a, b, c)
-    if b <= a and b <= c:
-        return (b, c, a)
-    return (c, a, b)
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Whether each row equals an earlier one, by float or integer ==."""
+    order = np.lexsort(rows.T[::-1])
+    same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:][same]] = True  # the sort is stable
+    return repeat
 
 
-@dataclass(frozen=True)
+def _rows(values, width: int, dtype=None) -> np.ndarray:
+    """values, an array or an iterable of rows (Point2s too), as a new
+    (k, width) array of dtype; GeometryError for anything else."""
+    try:
+        rows = values if isinstance(values, np.ndarray) else [tuple(v) for v in values]
+        arr = np.array(rows, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise GeometryError(f"expected rows of {width} numbers: {e}") from None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise GeometryError(f"expected rows of {width} numbers")
+    return arr
+
+
+def _index_array(rows, width: int) -> np.ndarray:
+    """rows, an array or an iterable of rows, as a new (k, width) int64 array.
+
+    Integral floats, such as JSON's 2.0, are read as integers.  Anything
+    else, and an index beyond int64, raises GeometryError.
+    """
+    arr = _rows(rows, width)
+    if arr.dtype.kind in "fu" and ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind != "i":
+        raise GeometryError("indices must be integers within int64")
+    return arr.astype(np.int64)
+
+
 class Triangulation:
-    """Counterclockwise index triples, canonically rotated and sorted."""
+    """Counterclockwise index triples, canonically rotated and sorted.
 
-    triangles: tuple[tuple[int, int, int], ...]
+    The triples are stored once, as the read-only (T, 3) int64 array
+    ``array``: each row turned so that its first smallest index leads, which
+    keeps its cyclic order and so its orientation, and the rows in
+    lexicographic order.  ``triangles`` and ``edges`` are tuple views.
+    """
 
-    @classmethod
-    def from_triples(cls, triples) -> "Triangulation":
-        tris = np.asarray(triples)
-        if tris.dtype.kind not in "iu" or tris.shape[1:] != (3,):
-            # Anything but an integer (T, 3) array, such as JSON floats or
-            # indices beyond int64, is read one triple at a time with int().
-            canon = sorted(_canonical_triple(tuple(map(int, t))) for t in triples)
-            return cls(tuple(canon))
-        # _canonical_triple's rotation: the first smallest index leads.
+    def __init__(self, triples):
+        """triples: a (T, 3) array or an iterable of index triples, read as
+        ``_index_array`` reads them."""
+        tris = _index_array(triples, 3)
         turn = tris.argmin(axis=1)[:, None] + np.arange(3)
         tris = np.take_along_axis(tris, turn % 3, axis=1)
         tris = tris[np.lexsort(tris.T[::-1])]
-        return cls(tuple(map(tuple, tris.tolist())))
+        tris.flags.writeable = False
+        self.array = tris
 
     def __len__(self) -> int:
-        return len(self.triangles)
+        return len(self.array)
 
-    @cached_property
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Triangulation) and np.array_equal(self.array, other.array)
+
+    @property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The undirected edges, as ascending (E, 2) rows u < v."""
+        u, v = self.array.ravel(), self.array[:, [1, 2, 0]].ravel()
+        pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        twice = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1)) + 1  # interior edges
+        return np.delete(pairs, twice, axis=0)
+
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        es = set()
-        for a, b, c in self.triangles:
-            es.add((a, b) if a < b else (b, a))
-            es.add((b, c) if b < c else (c, b))
-            es.add((a, c) if a < c else (c, a))
-        return tuple(sorted(es))
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     def triangle_set(self) -> frozenset:
         return frozenset(frozenset(t) for t in self.triangles)
@@ -161,25 +210,25 @@ class ValidityReport:
 # --------------------------------------------------------------------------
 
 def points_to_json(ps: PointSet) -> str:
-    return json.dumps({"points": [[p.x, p.y] for p in ps]})
+    return json.dumps({"points": ps.coords.tolist()})
 
 
 def points_from_json(text: str) -> PointSet:
     data = json.loads(text)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError("expected an object with a 'points' array")
-    return PointSet.from_coords(data["points"])
+    return PointSet(data["points"])
 
 
 def triangulation_to_json(t: Triangulation) -> str:
-    return json.dumps({"triangles": [list(tri) for tri in t.triangles]})
+    return json.dumps({"triangles": t.array.tolist()})
 
 
 def triangulation_from_json(text: str) -> Triangulation:
     data = json.loads(text)
     if not isinstance(data, dict) or "triangles" not in data:
         raise ValueError("expected an object with a 'triangles' array")
-    return Triangulation.from_triples(data["triangles"])
+    return Triangulation(data["triangles"])
 
 
 # --------------------------------------------------------------------------
@@ -192,15 +241,16 @@ def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
     With keep_collinear=True, points lying on hull edges are included.
     """
     n = len(ps)
-    order = sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
+    order = np.lexsort(ps.coords.T[::-1]).tolist()
     if n < 3:
         return order
+    pts = ps.points
 
     def build(indices):
         chain: list[int] = []
         for i in indices:
             while len(chain) >= 2:
-                s = orient2d(ps[chain[-2]], ps[chain[-1]], ps[i])
+                s = orient2d(pts[chain[-2]], pts[chain[-1]], pts[i])
                 if s is Sign.NEGATIVE or (s is Sign.ZERO and not keep_collinear):
                     chain.pop()
                 else:
@@ -211,7 +261,7 @@ def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
     lower = build(order)
     upper = build(reversed(order))
     if len(lower) == n and len(upper) == n and all(
-        orient2d(ps[order[0]], ps[order[-1]], ps[i]) is Sign.ZERO for i in order[1:-1]
+        orient2d(pts[order[0]], pts[order[-1]], pts[i]) is Sign.ZERO for i in order[1:-1]
     ):
         # Fully collinear input: the "hull" is the chain itself.
         return order
@@ -248,19 +298,16 @@ def delaunay(ps: PointSet) -> Triangulation:
     if len(ps) < 3:
         raise GeometryError("need at least 3 points")
     seed, tris, quads = _seed(ps)
-    tris, (u, v, w, _), ties, counts = _flip_rounds(ps.coords, tris, quads)
+    tris, quads, ties, counts = _flip_rounds(ps.coords, tris, quads)
     log.debug(
         "delaunay n=%d: %s seed, %d rounds, %d edges tested, %d exact "
         "(%d reference, %d integer), %d flips, %d ties",
         len(ps), seed, counts["rounds"], counts["tested"], counts["exact"],
         counts["reference"], counts["integer"], counts["flips"], len(ties),
     )
-    if not len(ties):
-        return Triangulation.from_triples(tris)
-    opp = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
-    return Triangulation.from_triples(
-        _break_cocircular_ties(opp, set(zip(u[ties].tolist(), v[ties].tolist())))
-    )
+    if len(ties):
+        tris = _break_cocircular_ties(tris, quads, ties)
+    return Triangulation(tris)
 
 
 def _seed(ps: PointSet):
@@ -384,7 +431,7 @@ def _qhull_triangles(ps: PointSet, options: str | None) -> np.ndarray | None:
 def _sweep_triangulation(ps: PointSet) -> np.ndarray:
     """Some triangulation of the hull: x-sweep with two hull chains, ccw."""
     pts = ps.points
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
+    order = np.lexsort(ps.coords.T[::-1]).tolist()
     tris = []
     lower = [order[0]]
     upper = [order[0]]
@@ -486,47 +533,41 @@ def _ring_sign(coords: np.ndarray, ring: np.ndarray) -> int:
     return int(_orientations(coords, turns).min())
 
 
-def _break_cocircular_ties(opp: dict, ties: set) -> list:
-    """Re-triangulate exactly cocircular groups lexicographically smallest."""
-    tris = [(u, v, w) for (u, v), w in opp.items() if u < v and u < w]
-    if not ties:
-        return tris
-    index = {t: k for k, t in enumerate(tris)}
+def _break_cocircular_ties(tris: np.ndarray, quads, ties: np.ndarray) -> np.ndarray:
+    """Re-triangulate exactly cocircular groups lexicographically smallest.
 
-    def tri(u, v):
-        return index[_canonical_triple((u, v, opp[(u, v)]))]
-
-    pairs = np.array([(tri(u, v), tri(v, u)) for u, v in ties])
-    clusters = _clusters(len(tris), pairs[:, 0], pairs[:, 1])
-    grouped = {k for members in clusters for k in members}
-    out = [t for k, t in enumerate(tris) if k not in grouped]
-    for members in clusters:
-        member_set = set(members)
-        # Boundary cycle of the cluster, ccw because triangles are ccw.
-        succ = {}
-        for a, b, c in (tris[k] for k in members):
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) not in opp or tri(v, u) not in member_set:
-                    succ[u] = v
+    quads are the half-edges of the ccw triangles tris (``_edge_quads``), and
+    tie half-edge k joins triangles k // 3 and twin[k] // 3.  A group's
+    boundary is the ccw cycle of its half-edges whose twin lies outside it.
+    """
+    u, v, _, twin = quads
+    label, _ = _clusters(len(tris), ties // 3, twin[ties] // 3)
+    own = label[np.arange(len(u)) // 3]
+    across = np.where(twin >= 0, label[twin // 3], -1)
+    rim = np.flatnonzero((own >= 0) & (across != own))
+    rim = rim[np.argsort(own[rim], kind="stable")]
+    out = []
+    rows = zip(own[rim].tolist(), u[rim].tolist(), v[rim].tolist())
+    for _, group in itertools.groupby(rows, key=lambda row: row[0]):
+        succ = {a: b for _, a, b in group}
         cycle = [min(succ)]
         while succ[cycle[-1]] != cycle[0]:
             cycle.append(succ[cycle[-1]])
-        out.extend(_lexmin_polygon_triangulation(cycle))
-    return out
+        out += _lexmin_polygon_triangulation(cycle)
+    return np.concatenate([tris[label < 0], np.array(out, dtype=np.int64).reshape(-1, 3)])
 
 
-def _clusters(n: int, i: np.ndarray, j: np.ndarray) -> list[list[int]]:
-    """The components of two or more nodes of the graph on range(n), edges i-j.
-
-    Members ascend, and the clusters are ordered by their smallest member.
-    """
+def _clusters(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels of the components of two or more nodes of the graph on
+    range(n) with edges i-j, numbered by their smallest node, and -1 on the
+    other nodes; and the number of those components."""
     graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
-    nodes = np.unique(np.concatenate([i, j]))
-    order = nodes[np.argsort(labels[nodes], kind="stable")]
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    groups = np.split(order, cuts) if len(order) else []
-    return sorted((g.tolist() for g in groups), key=lambda g: g[0])
+    _, first, size = np.unique(labels, return_index=True, return_counts=True)
+    big = np.flatnonzero(size > 1)
+    rank = np.full(len(first), -1)
+    rank[big[np.argsort(first[big])]] = np.arange(len(big))
+    return rank[labels], len(big)
 
 
 def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
@@ -558,46 +599,50 @@ def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]
 # Validity
 # --------------------------------------------------------------------------
 
-def _structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, int, int]]:
+def _structural_check(ps: PointSet, t: Triangulation) -> np.ndarray:
     """Raise TriangulationStructureError unless t triangulates hull(ps).
 
-    Returns the triangles turned ccw: a cw triple (a, b, c) becomes (a, c, b).
+    Returns t's triangles turned ccw: a cw triple (a, b, c) becomes (a, c, b).
     """
     n = len(ps)
     if n < 3:
         raise TriangulationStructureError("point set too small")
-    if not t.triangles:
+    if not len(t):
         raise TriangulationStructureError("empty triangulation")
-    for tri in t.triangles:
-        if len(set(tri)) < 3:
-            raise TriangulationStructureError(f"repeated index in triangle {tri}")
-        if not all(0 <= i < n for i in tri):
-            raise TriangulationStructureError(f"index out of range in triangle {tri}")
-
-    tris = np.array(t.triangles, dtype=np.int64)
+    tris = t.array.copy()
+    a, b, c = tris.T
+    repeated = (a == b) | (b == c) | (a == c)
+    wrong = np.flatnonzero(repeated | ((tris < 0) | (tris >= n)).any(axis=1))
+    if len(wrong):
+        k = wrong[0]
+        why = "repeated index" if repeated[k] else "index out of range"
+        raise TriangulationStructureError(f"{why} in triangle {tuple(tris[k].tolist())}")
     signs = _orientations(ps.coords, tris)
     if (signs == 0).any():
-        tri = t.triangles[np.flatnonzero(signs == 0)[0]]
+        tri = tuple(tris[np.flatnonzero(signs == 0)[0]].tolist())
         raise TriangulationStructureError(f"degenerate triangle {tri}")
     tris[signs < 0] = tris[signs < 0][:, [0, 2, 1]]
     if _tiling(ps, tris) is None:
         raise TriangulationStructureError(
             "the triangles do not tile the convex hull exactly once"
         )
-    return [tuple(tri) for tri in tris.tolist()]
+    return tris
 
 
 def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
+    """Float circumcentres and radii; a flat or float-flat triangle gets
+    non-finite ones, without a warning."""
     a = coords[tris[:, 0]]
     b = coords[tris[:, 1]] - a
     c = coords[tris[:, 2]] - a
-    den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    b2 = (b * b).sum(axis=1)
-    c2 = (c * c).sum(axis=1)
-    ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
-    uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
-    centers = a + np.stack([ux, uy], axis=1)
-    radii = np.hypot(ux, uy)
+    with np.errstate(**_IGNORE):
+        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        b2 = (b * b).sum(axis=1)
+        c2 = (c * c).sum(axis=1)
+        ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
+        uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
+        centers = a + np.stack([ux, uy], axis=1)
+        radii = np.hypot(ux, uy)
     return centers, radii
 
 
@@ -705,7 +750,7 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
     """
     if not eps >= 0:
         raise ValueError("eps must be a nonnegative number")
-    tris = np.array(_structural_check(ps, t), dtype=np.intp)
+    tris = _structural_check(ps, t)
     coords = ps.coords
     exact = ExactIncircle(coords, tris)
     if eps == 0.0:
@@ -736,8 +781,7 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
 def _exact_scan(coords, tris, exact, counts):
     """The eps=0 violations among all (triangle, point) pairs, a block of
     triangles at a time; adds the pairs and the filter's decisions to counts."""
-    with np.errstate(**_IGNORE):
-        centers, radii = _circumcircles_array(coords, tris)
+    centers, radii = _circumcircles_array(coords, tris)
     points = np.arange(len(coords))[None, :]
     block = max(1, _PAIR_BLOCK // len(coords))
     for lo in range(0, len(tris), block):
@@ -764,8 +808,8 @@ def _margin_scan(coords, tris, eps, counts):
     serve (``_violation_blocks``).  Sets the path in counts to "tree" when
     the tree serves some circle, and adds the candidates."""
     n = len(coords)
+    centers, radii = _circumcircles_array(coords, tris)
     with np.errstate(**_IGNORE):
-        centers, radii = _circumcircles_array(coords, tris)
         # NaN and inf fail the range too.
         served = (radii >= _TREE_RADII[0]) & (radii <= _TREE_RADII[1])
         if np.abs(coords).max() >= _TREE_COORDS:
@@ -812,7 +856,7 @@ def perturb(ps: PointSet, delta: float, seed: int) -> PointSet:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return ps
-    return PointSet.from_coords(_perturbed_coords(ps.coords, delta, seed))
+    return PointSet(_perturbed_coords(ps.coords, delta, seed))
 
 
 def _perturbed_coords(coords: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -832,17 +876,9 @@ def _perturbed_coords(coords: np.ndarray, delta: float, seed: int) -> np.ndarray
         return np.stack([coords[:, 0] + radii * cos, coords[:, 1] + radii * sin], axis=1)
 
 
-def _distinct_finite(coords: np.ndarray) -> bool:
-    """Whether the rows of coords are finite and distinct, as PointSet needs."""
-    if not np.isfinite(coords).all():
-        return False
-    rows = coords[np.lexsort(coords.T[::-1])]
-    return not (rows[1:] == rows[:-1]).all(axis=1).any()
-
-
 def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
     """Whether the two triangles at some interior edge are exactly cocircular."""
-    tris = np.array(t.triangles, dtype=np.int64).reshape(-1, 3)
+    tris = t.array.copy()
     signs = _orientations(ps.coords, tris)
     if (signs == 0).any():
         raise CollinearPointsError("incircle needs a non-degenerate triangle")
@@ -859,18 +895,17 @@ def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
 def _target_arrays(t: Triangulation, n: int):
     """What ``_delaunay_certificate`` reads of target t over n points.
 
-    These are t's triples as given, its hull ring and its interior edges as
-    rows (u, v, w, x): u->v in triangle (u, v, w), x across the edge.  None
-    when t is no Delaunay triangulation of any n distinct points, whatever
-    their coordinates: it is empty or not canonically ordered, misses a
-    point, repeats a directed edge, or its unpaired edges are not one cycle.
+    These are t's triples, its hull ring and its interior edges as rows
+    (u, v, w, x): u->v in triangle (u, v, w), x across the edge.  None when
+    t is no Delaunay triangulation of any n distinct points, whatever their
+    coordinates: it is empty, misses a point, repeats a directed edge, or
+    its unpaired edges are not one cycle.
     """
-    tris = np.array(t.triangles, dtype=np.int64).reshape(-1, 3)
+    tris = t.array
     if (
         not len(tris)
         or tris.min() < 0
         or tris.max() >= n
-        or Triangulation.from_triples(t.triangles).triangles != t.triangles
         or np.bincount(tris.ravel(), minlength=n).min() == 0
     ):
         return None
@@ -912,10 +947,10 @@ def _delaunay_certificate(coords: np.ndarray, target) -> int:
     return 0 if hull == 0 or (legal == 0).any() else 1
 
 
-def _rebuilds(ps: PointSet, triangles) -> bool:
-    """Whether delaunay(ps) has exactly these triangles."""
+def _rebuilds(ps: PointSet, t: Triangulation) -> bool:
+    """Whether delaunay(ps) has exactly t's triangles."""
     try:
-        return delaunay(ps).triangles == triangles
+        return delaunay(ps) == t
     except GeometryError:
         return False
 
@@ -929,7 +964,7 @@ class _StabilityTrials:
     """
 
     def __init__(self, ps: PointSet, t: Triangulation):
-        self.ps, self.triangles = ps, t.triangles
+        self.ps, self.t = ps, t
         self.cocircular = _has_exact_cocircularity(ps, t)
         self.target = _target_arrays(t, len(ps))
         self.run = self.certified = self.rebuilt = 0
@@ -941,17 +976,16 @@ class _StabilityTrials:
         if self.cocircular:
             return False
         for trial in range(trials):
-            coords = _perturbed_coords(self.ps.coords, delta, _mix_seed(seed, trial))
-            if not _distinct_finite(coords):
-                PointSet.from_coords(coords)  # raises the GeometryError perturb would
+            # Raises the GeometryError perturb would.
+            moved = PointSet(_perturbed_coords(self.ps.coords, delta, _mix_seed(seed, trial)))
             self.run += 1
-            verdict = _delaunay_certificate(coords, self.target)
+            verdict = _delaunay_certificate(moved.coords, self.target)
             if verdict:
                 self.certified += 1
                 kept = verdict > 0
             else:
                 self.rebuilt += 1
-                kept = _rebuilds(PointSet.from_coords(coords), self.triangles)
+                kept = _rebuilds(moved, self.t)
             if not kept:
                 return False
         return True
@@ -998,7 +1032,7 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     verdict = _delaunay_certificate(ps.coords, target)
     if verdict > 0 or (
         verdict == 0
-        and _rebuilds(ps, t.triangles)
+        and _rebuilds(ps, t)
         and not _has_exact_cocircularity(ps, t)
     ):
         return ps
@@ -1008,80 +1042,81 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
         raise RealizationError(
             "triangulation differs from the Delaunay but has no cocircular freedom"
         )
-    weights = _cluster_weights(ps, clusters)
+    weights = _cluster_weights(ps.coords.tolist(), clusters)
 
-    scale = max(dist(ps[0], p) for p in ps) or 1.0
+    dx, dy = (ps.coords[0] - ps.coords).T.tolist()
+    scale = max(map(math.hypot, dx, dy)) or 1.0
     step = min(budget, 1e-6 * scale) * 0.999
     total_w: dict[int, float] = {}
     for (pt_idx, _), w in weights:
         total_w[pt_idx] = total_w.get(pt_idx, 0.0) + w
     wmax = max(total_w.values()) or 1.0
     for _ in range(8):
-        moved = list(ps.points)
+        moved = ps.coords.tolist()
         for (pt_idx, center), w in weights:
-            p = moved[pt_idx]
-            ux, uy = p.x - center[0], p.y - center[1]
+            x, y = moved[pt_idx]
+            ux, uy = x - center[0], y - center[1]
             norm = math.hypot(ux, uy)
             if norm == 0.0:
                 continue
             f = step * (w / wmax) / norm
-            moved[pt_idx] = Point2(p.x - f * ux, p.y - f * uy)
+            moved[pt_idx] = [x - f * ux, y - f * uy]
         try:
-            candidate = PointSet(tuple(moved))
+            candidate = PointSet(moved)
         except GeometryError:
             candidate = None
         if candidate is not None:
             verdict = _delaunay_certificate(candidate.coords, target)
-            if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t.triangles)):
+            if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t)):
                 return candidate
         step /= 8.0
     raise RealizationError("could not realize the triangulation within budget")
 
 
-def _near_cocircular_clusters(ps: PointSet, tris: list, rtol: float = 1e-9):
+def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9):
     """Groups of edge-adjacent ccw triangles sharing one circumcircle (within rtol).
 
     Returns (shared center, interior edges) per group, ordered by the
     smallest member.  The interior edges are rows (u, v, w1, w2), one per
     half-edge u->v of a member i whose twin lies in a member j > i, with w1
-    and w2 the third vertices of i and j, in (triangle, slot) order.
+    and w2 the third vertices of i and j, in (triangle, slot) order.  A
+    triangle whose float circle is not finite (flat in floats) joins none.
     """
-    arr = np.array(tris, dtype=np.intp)
-    centers, radii = _circumcircles_array(ps.coords, arr)
-    u, v, w, twin = _edge_quads(arr)
+    centers, radii = _circumcircles_array(ps.coords, tris)
+    u, v, w, twin = _edge_quads(tris)
     k = np.flatnonzero(twin // 3 > np.arange(len(twin)) // 3)
     i, j = k // 3, twin[k] // 3
+    finite = np.isfinite(radii) & np.isfinite(centers).all(axis=1)
     r = np.maximum(radii[i], radii[j])
-    near = (np.abs(radii[i] - radii[j]) <= rtol * r) & (
-        np.hypot(*(centers[i] - centers[j]).T) <= rtol * r
-    )
-    groups = _clusters(len(tris), i[near], j[near])
-    label = np.full(len(tris), -1)
-    for c, members in enumerate(groups):
-        label[members] = c
+    with np.errstate(**_IGNORE):
+        near = finite[i] & finite[j] & (np.abs(radii[i] - radii[j]) <= rtol * r) & (
+            np.hypot(*(centers[i] - centers[j]).T) <= rtol * r
+        )
+    label, count = _clusters(len(tris), i[near], j[near])
     k = k[(label[i] >= 0) & (label[i] == label[j])]
     k = k[np.argsort(label[k // 3], kind="stable")]
     quads = np.stack([u[k], v[k], w[k], w[twin[k]]], axis=1)
-    cuts = np.searchsorted(label[k // 3], np.arange(1, len(groups)))
+    cuts = np.searchsorted(label[k // 3], np.arange(1, count))
     clusters = []
-    for members, edges in zip(groups, np.split(quads, cuts)):
-        center = centers[members].mean(axis=0)
+    for c, edges in zip(range(count), np.split(quads, cuts)):
+        center = centers[label == c].mean(axis=0)
         clusters.append(((float(center[0]), float(center[1])), edges.tolist()))
     return clusters
 
 
-def _cluster_weights(ps: PointSet, clusters):
+def _cluster_weights(pts: list, clusters):
     """Solve for radial weights making every cluster's diagonals strictly legal.
 
-    One variable per (point, cluster) incidence; a point shared by several
-    clusters moves along the sum of its per-cluster inward directions, so a
-    constraint for one cluster sees the projections of the others' moves.
+    pts holds the coordinates as [x, y] lists.  One variable per (point,
+    cluster) incidence; a point shared by several clusters moves along the
+    sum of its per-cluster inward directions, so a constraint for one
+    cluster sees the projections of the others' moves.
     """
     from scipy.optimize import linprog
 
     def inward_unit(pt_idx, center):
-        p = ps[pt_idx]
-        ux, uy = center[0] - p.x, center[1] - p.y
+        x, y = pts[pt_idx]
+        ux, uy = center[0] - x, center[1] - y
         norm = math.hypot(ux, uy)
         return (ux / norm, uy / norm) if norm else (0.0, 0.0)
 
@@ -1098,7 +1133,7 @@ def _cluster_weights(ps: PointSet, clusters):
     rows: list[dict[int, float]] = []
     for center, edges in clusters:
         for u, v, w1, w2 in edges:
-            coeffs = _lift_row(ps, u, v, w1, w2)
+            coeffs = _lift_row(pts, u, v, w1, w2)
             row: dict[int, float] = {}
             for pt_idx, coeff in coeffs.items():
                 radial = inward_unit(pt_idx, center)
@@ -1127,7 +1162,7 @@ def _cluster_weights(ps: PointSet, clusters):
     return [(meta, float(w)) for meta, w in zip(var_meta, res.x)]
 
 
-def _lift_row(ps: PointSet, u: int, v: int, w1: int, w2: int) -> dict[int, float]:
+def _lift_row(pts: list, u: int, v: int, w1: int, w2: int) -> dict[int, float]:
     """Linearization of the lifted incircle test for quad (u, v, w1 | w2).
 
     Points sit on a common circle; lowering point p's lift by weight w_p
@@ -1137,9 +1172,9 @@ def _lift_row(ps: PointSet, u: int, v: int, w1: int, w2: int) -> dict[int, float
     """
 
     def area2(p, q, r):
-        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
-    pu, pv, p1, p2 = ps[u], ps[v], ps[w1], ps[w2]
+    pu, pv, p1, p2 = pts[u], pts[v], pts[w1], pts[w2]
     cu = area2(pv, p1, p2)
     cv = -area2(pu, p1, p2)
     c1 = area2(pu, pv, p2)

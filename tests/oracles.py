@@ -362,7 +362,7 @@ def bowyer_watson_delaunay(ps: PointSet) -> Triangulation:
 
     finite = [t for t in mesh.tris.values() if t[2] != GHOST]
     finite = _break_cocircular_ties(ps, finite)
-    return Triangulation.from_triples(finite)
+    return Triangulation(finite)
 
 
 def _break_cocircular_ties(ps: PointSet, tris: list) -> list:

@@ -133,7 +133,7 @@ def test_criterion_6_oracle_equivalence():
     for seed in range(200):
         n = random.Random(seed).randrange(4, 9)
         rng = random.Random(10_000 + seed)
-        ps = PointSet.from_coords(
+        ps = PointSet(
             [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
         )
         g = graph_from_triangulation(ps, delaunay(ps))

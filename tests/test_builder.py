@@ -60,7 +60,7 @@ CORPUS = {
     "convex2000": lambda: generate_two_semicircle(TwoSemicircleSpec(n_arc=1000)).points,
     "three_circle": lambda: generate_three_circle(ThreeCircleSpec()).points,
     "three_circle60": three_circle_60,
-    "grid20": lambda: PointSet.from_coords(
+    "grid20": lambda: PointSet(
         [(x, y) for x in range(20) for y in range(20)]
     ),
 }
@@ -86,34 +86,34 @@ def _near_duplicate():
 
 def _cluster():
     rng = np.random.default_rng(5)
-    return PointSet.from_coords(1.0 + 1e-13 * rng.random((50, 2)))
+    return PointSet(1.0 + 1e-13 * rng.random((50, 2)))
 
 
 # Inputs whose Qhull output cannot seed the flips: (input, what Qhull does).
 FALLBACK = {
     "near_duplicate_1e-15": (_near_duplicate, "coplanar"),
     "collinear_plus_nextafter": (
-        lambda: PointSet.from_coords(
+        lambda: PointSet(
             [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
             + [(1.5, math.nextafter(1.5, 2.0))]
         ),
         "error",
     ),
     "five_times_1e-300": (
-        lambda: PointSet.from_coords([(x * 1e-300, y * 1e-300) for x, y in FIVE]),
+        lambda: PointSet([(x * 1e-300, y * 1e-300) for x, y in FIVE]),
         "error",
     ),
     "five_times_1e300": (
-        lambda: PointSet.from_coords([(x * 1e300, y * 1e300) for x, y in FIVE]),
+        lambda: PointSet([(x * 1e300, y * 1e300) for x, y in FIVE]),
         "error",
     ),
     "collinear_hull_apex_1e-12": (
-        lambda: PointSet.from_coords(
+        lambda: PointSet(
             [(i / 50, 0.0) for i in range(51)] + [(0.5, 1e-12)]
         ),
         "coplanar",
     ),
-    "sliver": (lambda: PointSet.from_coords(SLIVER), "error"),
+    "sliver": (lambda: PointSet(SLIVER), "error"),
     "cluster_1e-13": (_cluster, "coplanar"),
 }
 
@@ -185,7 +185,7 @@ def test_unusable_qhull_output_takes_sweep(reason, monkeypatch, sweep_calls):
     points, simplices = BAD_QHULL[reason]
     fake = _FakeQhull(simplices)
     monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords, qhull_options: fake)
-    ps = PointSet.from_coords(points)
+    ps = PointSet(points)
     got = delaunay(ps)
     assert sweep_calls == [len(ps)]
     assert got.triangles == bowyer_watson_delaunay(ps).triangles
@@ -196,7 +196,7 @@ def test_usable_qhull_output_is_legalised(monkeypatch, sweep_calls):
     pts = [(0.0, 0.0), (1.0, 0.0), (1.05, 1.05), (0.0, 1.0)]
     fake = _FakeQhull([[0, 2, 1], [0, 3, 2]])
     monkeypatch.setattr(scipy.spatial, "Delaunay", lambda coords, qhull_options: fake)
-    got = delaunay(PointSet.from_coords(pts))
+    got = delaunay(PointSet(pts))
     assert sweep_calls == []
     assert got.triangles == ((0, 1, 3), (1, 2, 3))
 
@@ -263,7 +263,7 @@ def test_debug_line_names_the_seed_and_counts_the_flips(caplog):
 
 def test_all_collinear_raises_through_sweep(sweep_calls):
     with pytest.raises(AllCollinearError):
-        delaunay(PointSet.from_coords([(float(i), 2.0 * i) for i in range(6)]))
+        delaunay(PointSet([(float(i), 2.0 * i) for i in range(6)]))
     assert sweep_calls == [6]
 
 
@@ -293,7 +293,7 @@ def near_degenerate_sets(draw):
         axis = draw(st.integers(0, 1))
         pts[i][axis] = _nudge(pts[i][axis], draw(st.integers(-3, 3)))
     coords = {tuple(p) for p in pts}
-    return PointSet.from_coords(sorted(coords))
+    return PointSet(sorted(coords))
 
 
 @given(near_degenerate_sets())

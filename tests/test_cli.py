@@ -23,13 +23,13 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
 def write_square(tmp_path, tris=None):
-    ps = PointSet.from_coords(SQUARE)
+    ps = PointSet(SQUARE)
     ppath = tmp_path / "points.json"
     ppath.write_text(points_to_json(ps))
     tpath = None
     if tris is not None:
         tpath = tmp_path / "tri.json"
-        tpath.write_text(triangulation_to_json(Triangulation.from_triples(tris)))
+        tpath.write_text(triangulation_to_json(Triangulation(tris)))
     return ppath, tpath
 
 
@@ -37,9 +37,9 @@ def write_double_cover(tmp_path):
     """The pentagram fan: every Euler count holds, but it winds twice."""
     points, tris = BAD_QHULL["double_cover"]
     ppath = tmp_path / "points.json"
-    ppath.write_text(points_to_json(PointSet.from_coords(points)))
+    ppath.write_text(points_to_json(PointSet(points)))
     tpath = tmp_path / "tri.json"
-    tpath.write_text(triangulation_to_json(Triangulation.from_triples(tris)))
+    tpath.write_text(triangulation_to_json(Triangulation(tris)))
     return ppath, tpath
 
 
@@ -134,6 +134,27 @@ class TestDilation:
         assert doc["witness"] == [1, 3]
 
 
+@pytest.mark.parametrize("command", ["verify", "dilation"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"points": [[None, 1], [1, 0], [0, 1]]},
+        {"points": 5},
+        {"triangles": [[0, 1, None]]},
+        {"triangles": 3},
+        {"triangles": [[0, 1, 2.5]]},
+        {"triangles": [[0, 1, 2**70]]},
+    ],
+)
+def test_malformed_document_exit_2(command, doc, tmp_path, capsys):
+    # A malformed points or triangles file is an input error, not a crash.
+    ppath, tpath = write_square(tmp_path, tris=[(0, 1, 2), (0, 2, 3)])
+    (ppath if "points" in doc else tpath).write_text(json.dumps(doc))
+    flag = ["--triangulation"] if command == "dilation" else []
+    assert main([command, str(ppath), *flag, str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed")
+
+
 class TestSweep:
     def test_claimed_interval(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -182,7 +203,7 @@ class TestVerify:
         assert "tile the convex hull" in capsys.readouterr().err
 
     def test_flipped_diagonal_exit_1(self, tmp_path, capsys):
-        ps = perturb(PointSet.from_coords(SQUARE), 1e-3, seed=1)
+        ps = perturb(PointSet(SQUARE), 1e-3, seed=1)
         good = delaunay(ps)
         # flip the diagonal of the two triangles
         edges = {e for e in good.edges}
@@ -196,7 +217,7 @@ class TestVerify:
         ppath.write_text(points_to_json(ps))
         tpath = tmp_path / "t.json"
         tpath.write_text(
-            triangulation_to_json(Triangulation.from_triples(flipped))
+            triangulation_to_json(Triangulation(flipped))
         )
         code = main(["verify", str(ppath), str(tpath)])
         assert code == 1

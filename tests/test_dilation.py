@@ -53,13 +53,13 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
 def square_graph():
-    ps = PointSet.from_coords(SQUARE)
+    ps = PointSet(SQUARE)
     return graph_from_triangulation(ps, delaunay(ps))
 
 
 def random_graph(n, seed):
     rng = random.Random(seed)
-    ps = PointSet.from_coords(
+    ps = PointSet(
         [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
     )
     return graph_from_triangulation(ps, delaunay(ps))
@@ -72,7 +72,7 @@ class TestGraphFromTriangulation:
         assert len(g.edges) == 5
 
     def test_345_triangle(self):
-        ps = PointSet.from_coords([(0, 0), (3, 0), (0, 4)])
+        ps = PointSet([(0, 0), (3, 0), (0, 4)])
         g = graph_from_triangulation(ps, delaunay(ps))
         assert sorted(g.weights) == [3.0, 4.0, 5.0]
 
@@ -82,13 +82,28 @@ class TestGraphFromTriangulation:
 
     def test_weights_recomputable(self):
         g = random_graph(40, seed=3)
-        assert g.check_weights()
+        assert g.weights.tolist() == [dist(g.points[u], g.points[v]) for u, v in g.edges]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate_three_circle(ThreeCircleSpec()), lambda: generate_chew(ChewSpec(512))],
+        ids=["three-circle", "chew512"],
+    )
+    def test_weights_are_math_hypot_bit_for_bit(self, make):
+        # np.hypot differs from math.hypot in the last bit on 16 of the 4,341
+        # three-circle edges and on 1 of the 1,021 chew 512 edges.
+        out = make()
+        g = graph_from_triangulation(out.points, out.triangulation)
+        pts = out.points.coords.tolist()
+        diffs = [(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1]) for u, v in g.edges]
+        assert g.weights.tolist() == [math.hypot(dx, dy) for dx, dy in diffs]
+        assert g.weights.tolist() != np.hypot(*np.array(diffs).T).tolist()
 
     @pytest.mark.parametrize("repeat", [(3, 1), (1, 3)])
     def test_repeated_edge_rejected(self, repeat):
         # The sparse matrix summed repeated edges: with (3, 1) repeated this
         # graph reported max dilation 1.0 at (1, 3) instead of sqrt(2) at (0, 1).
-        ps = PointSet.from_coords([(0, 0), (2, 0), (1, 1), (3, 0)])
+        ps = PointSet([(0, 0), (2, 0), (1, 1), (3, 0)])
         edges = ((0, 2), (2, 1), (1, 3))
         with pytest.raises(GeometryError, match="repeated edge"):
             EuclideanGraph(points=ps, edges=edges + (repeat,))
@@ -109,7 +124,7 @@ class TestShortestPath:
         assert path == [1, 0, 3]  # lexicographically before [1, 2, 3]
 
     def test_direct_edge(self):
-        ps = PointSet.from_coords([(0, 0), (3, 0), (0, 4)])
+        ps = PointSet([(0, 0), (3, 0), (0, 4)])
         g = graph_from_triangulation(ps, delaunay(ps))
         length, path = shortest_path(g, 0, 1)
         assert length == 3.0 and path == [0, 1]
@@ -133,7 +148,7 @@ class TestShortestPath:
                 assert length >= dist(g.points[u], g.points[v]) - 1e-12
 
     def test_disconnected_raises(self):
-        ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1), (5, 5)])
+        ps = PointSet([(0, 0), (1, 0), (0, 1), (5, 5)])
         g = EuclideanGraph(points=ps, edges=((0, 1), (0, 2), (1, 2)))
         with pytest.raises(GeometryError):
             shortest_path(g, 0, 3)
@@ -165,7 +180,7 @@ class TestPairDilation:
 
 class TestMaxDilation:
     def test_single_triangle(self):
-        ps = PointSet.from_coords([(0, 0), (3, 0), (0, 4)])
+        ps = PointSet([(0, 0), (3, 0), (0, 4)])
         rep = max_dilation(graph_from_triangulation(ps, delaunay(ps)))
         assert rep.max_dilation == 1.0
 
@@ -202,8 +217,8 @@ class TestMaxDilation:
             base = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
             a = rng.choice([-1, 1]) * rng.uniform(0.1, 10)
             b = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-            ps = PointSet.from_coords(base)
-            moved = PointSet.from_coords([(a * x + b[0], a * y + b[1]) for x, y in base])
+            ps = PointSet(base)
+            moved = PointSet([(a * x + b[0], a * y + b[1]) for x, y in base])
             d0 = max_dilation(graph_from_triangulation(ps, delaunay(ps))).max_dilation
             d1 = max_dilation(
                 graph_from_triangulation(moved, delaunay(moved))
@@ -230,7 +245,7 @@ class TestMaxDilation:
         assert doc["path"] == [1, 0, 3]
 
     def test_too_few_vertices(self):
-        ps = PointSet.from_coords([(0, 0)])
+        ps = PointSet([(0, 0)])
         g = EuclideanGraph(points=ps, edges=())
         with pytest.raises(GeometryError):
             max_dilation(g)
@@ -270,7 +285,7 @@ class TestStreamedMatchesDense:
             *[lambda n=n: uniform_graph(n) for n in (3, 255, 256, 257, 513)],
             # Every ratio is exactly 1.0, so every block ties with the first.
             lambda: EuclideanGraph(
-                points=PointSet.from_coords([(k, 0) for k in range(600)]),
+                points=PointSet([(k, 0) for k in range(600)]),
                 edges=tuple((k, k + 1) for k in range(599)),
             ),
         ],
@@ -322,7 +337,7 @@ class TestPrunedMatchesOracles:
         else:
             cells = [(x, y) for x in range(grid) for y in range(grid)]
             coords = [(float(x), float(y)) for x, y in rng.sample(cells, min(n, len(cells)))]
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         try:
             g = graph_from_triangulation(ps, delaunay(ps))
         except AllCollinearError:
@@ -338,12 +353,12 @@ class TestPrunedMatchesOracles:
         for _ in range(6):
             n = rng.randrange(50, 400)
             base = rng.sample([(x, y) for x in range(64) for y in range(64)], n)
-            ps = PointSet.from_coords(base)
+            ps = PointSet(base)
             rep = max_dilation(graph_from_triangulation(ps, delaunay(ps)))
             for lo, hi in ((-60, 60), (-560, -520), (470, 490)):
                 k = rng.randrange(lo, hi)
                 tx, ty = rng.randrange(-2**20, 2**20), rng.randrange(-2**20, 2**20)
-                moved = PointSet.from_coords(
+                moved = PointSet(
                     [(math.ldexp(x + tx, k), math.ldexp(y + ty, k)) for x, y in base]
                 )
                 got = max_dilation(graph_from_triangulation(moved, delaunay(moved)))
@@ -438,11 +453,11 @@ def bound_shape(shape):
         rng.shuffle(xs)
         order = sorted(range(n), key=xs.__getitem__)
         return EuclideanGraph(
-            points=PointSet.from_coords([(float(x), 0.0) for x in xs]),
+            points=PointSet([(float(x), 0.0) for x in xs]),
             edges=tuple(zip(order, order[1:])),
         )
     if shape == "grid":
-        ps = PointSet.from_coords(
+        ps = PointSet(
             rng.sample([(x, y) for x in range(20) for y in range(20)], n)
         )
         return graph_from_triangulation(ps, delaunay(ps))
@@ -504,7 +519,7 @@ def small_connected_graph(draw):
     edges = tuple(sorted(tree | extra))
     if draw(st.booleans()):
         edges = tuple((v, u) for u, v in reversed(edges))
-    return coords, EuclideanGraph(points=PointSet.from_coords(coords), edges=edges)
+    return coords, EuclideanGraph(points=PointSet(coords), edges=edges)
 
 
 def test_max_dilation_memory_below_one_dense_matrix():

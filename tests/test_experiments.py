@@ -183,7 +183,7 @@ class TestDilationTrend:
 
 class TestPlant:
     def _square_config(self):
-        return PointSet.from_coords([(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)])
+        return PointSet([(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)])
 
     def test_zero_radius_places_exactly(self):
         spec = PlantSpec(
@@ -227,12 +227,12 @@ class TestPlant:
     def test_ball_containment_validated(self):
         with pytest.raises(ValueError):
             PlantSpec(
-                config=PointSet.from_coords([(0.05, 0.5), (0.6, 0.5)]),
+                config=PointSet([(0.05, 0.5), (0.6, 0.5)]),
                 ball_radius=0.1,
             )
         with pytest.raises(ValueError):
             PlantSpec(
-                config=PointSet.from_coords([(0.4, 0.5), (0.45, 0.5)]),
+                config=PointSet([(0.4, 0.5), (0.45, 0.5)]),
                 ball_radius=0.1,
             )
 
@@ -266,11 +266,11 @@ CLOSEST_PAIR_INPUTS = {
     "plant_three_circle": lambda: cli._planted_config("three-circle", None),
     "uniform2000": lambda: sample(UniformSquare(), 2000, seed=1),
     # Every point has up to four nearest neighbours: many exact ties.
-    "grid": lambda: PointSet.from_coords(
+    "grid": lambda: PointSet(
         [(0.1 * x, 0.1 * y) for x in range(40) for y in range(40)]
     ),
     # Every square underflows to 0, so every pair is a closest one.
-    "grid_1e-170": lambda: PointSet.from_coords(
+    "grid_1e-170": lambda: PointSet(
         [(1e-170 * x, 1e-170 * y) for x in range(10) for y in range(10)]
     ),
     # The closest squared distance is subnormal.
@@ -284,7 +284,7 @@ CLOSEST_PAIR_INPUTS = {
 
 
 def _scaled(ps, factor):
-    return PointSet.from_coords(ps.coords * factor)
+    return PointSet(ps.coords * factor)
 
 
 class TestFindStableRadius:
@@ -351,7 +351,7 @@ class TestInvarianceCheck:
         assert invariance_check(ps, -1.0, (0.0, 0.0), seed=0)
 
     def test_degenerate_rejected(self):
-        square = PointSet.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        square = PointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
         with pytest.raises(GeometryError):
             invariance_check(square, 2.0, (0.0, 0.0), seed=0)
 

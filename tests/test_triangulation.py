@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from delaunay_dilation.triangulation import (
     RealizationError,
     Triangulation,
     TriangulationStructureError,
-    _canonical_triple,
     _delaunay_certificate,
     _mix_seed,
     _target_arrays,
@@ -40,7 +40,7 @@ MERGEABLE = [(0.0, 0.0), (5e-324, 0.0), (0.0, 1.0)]
 
 def random_points(n, seed, lo=0.0, hi=1.0):
     rng = random.Random(seed)
-    return PointSet.from_coords(
+    return PointSet(
         [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
     )
 
@@ -48,7 +48,7 @@ def random_points(n, seed, lo=0.0, hi=1.0):
 class TestPointSet:
     def test_duplicate_rejected(self):
         with pytest.raises(GeometryError):
-            PointSet.from_coords([(0, 0), (1, 1), (0, 0)])
+            PointSet([(0, 0), (1, 1), (0, 0)])
 
     def test_json_round_trip_full_precision(self):
         ps = random_points(17, seed=3, lo=-1e3, hi=1e3)
@@ -56,56 +56,82 @@ class TestPointSet:
         assert all(a == b for a, b in zip(ps, again))
 
     def test_triangulation_json_round_trip(self):
-        t = Triangulation.from_triples([(2, 0, 1), (0, 2, 3)])
+        t = Triangulation([(2, 0, 1), (0, 2, 3)])
         again = triangulation_from_json(triangulation_to_json(t))
         assert again.triangles == t.triangles
 
     @pytest.mark.parametrize("seed", range(20))
     def test_from_triples_is_the_canonical_triple_loop(self, seed):
-        # Small index ranges give repeated indices and repeated triples.
+        # Small index ranges give repeated indices and repeated triples.  The
+        # loop turns each triple so that its first smallest index leads.
         rng = np.random.default_rng(seed)
         tris = rng.integers(-2, 1 + 4 * seed, size=(int(rng.integers(0, 60)), 3))
-        loop = tuple(sorted(_canonical_triple(tuple(map(int, t))) for t in tris.tolist()))
+        loop = tuple(sorted(
+            t[t.index(min(t)):] + t[:t.index(min(t))] for t in map(tuple, tris.tolist())
+        ))
         for given in (tris, tris.astype(np.uint32) if tris.min(initial=0) >= 0 else tris,
                       tris.tolist(), [tuple(t) for t in tris.tolist()]):
-            got = Triangulation.from_triples(given).triangles
+            got = Triangulation(given).triangles
             assert got == loop
             assert all(type(i) is int for t in got for i in t)
 
     def test_from_triples_reads_other_input_with_int(self):
-        assert Triangulation.from_triples([]).triangles == ()
-        assert Triangulation.from_triples(np.zeros((0, 3), dtype=np.int64)).triangles == ()
-        floats = Triangulation.from_triples([[2.0, 0.0, 1.0], [3, 1.0, 0]])
+        assert Triangulation([]).triangles == ()
+        assert Triangulation(np.zeros((0, 3), dtype=np.int64)).triangles == ()
+        floats = Triangulation([[2.0, 0.0, 1.0], [3, 1.0, 0]])
         assert floats.triangles == ((0, 1, 2), (0, 3, 1))
-        big = Triangulation.from_triples([(2**70, 1, 2)])
-        assert big.triangles == ((1, 2, 2**70),)
-        assert Triangulation.from_triples(t for t in [(1, 2, 0)]).triangles == ((0, 1, 2),)
-        for bad in ([[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [4, 5]], [[1, 2, 3, 4, 5, 6]]):
+        assert Triangulation(t for t in [(1, 2, 0)]).triangles == ((0, 1, 2),)
+        # An int64 array holds the triples, so a larger index is refused.
+        for bad in ([[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [4, 5]], [[1, 2, 3, 4, 5, 6]],
+                    [(2**70, 1, 2)], [(2**63, 1, 2)], [[0, 1, 2.5]], [[0, 1, None]], 3):
             with pytest.raises(ValueError):
-                Triangulation.from_triples(bad)
+                Triangulation(bad)
 
-    def test_target_arrays_refuses_what_from_triples_would_reorder(self):
-        canonical = Triangulation.from_triples([(2, 0, 1), (0, 2, 3)])
-        assert _target_arrays(canonical, 4) is not None
-        for triangles in (((0, 2, 3), (0, 1, 2)), ((1, 2, 0), (0, 2, 3))):
-            assert _target_arrays(Triangulation(triangles), 4) is None
+    @pytest.mark.parametrize("seed", range(10))
+    def test_duplicates_and_edges_match_the_loops(self, seed):
+        # The dict and set loops that the array code replaced.
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, 4, size=(int(rng.integers(2, 12)), 2)).astype(float).tolist()
+        seen, dup = {}, None
+        for i, key in enumerate(map(tuple, coords)):
+            if key in seen and dup is None:
+                dup = f"duplicate point at indices {seen[key]} and {i}$"
+            seen.setdefault(key, i)
+        if dup is None:
+            assert PointSet(coords).coords.tolist() == coords
+        else:
+            with pytest.raises(GeometryError, match=dup):
+                PointSet(coords)
+        tris = rng.integers(0, 6, size=(int(rng.integers(0, 8)), 3)).tolist()
+        loop = {tuple(sorted(e)) for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
+        assert Triangulation(tris).edges == tuple(sorted(loop))
+
+    def test_signed_zeros_are_one_point(self):
+        with pytest.raises(GeometryError, match="duplicate point at indices 0 and 1"):
+            PointSet([(0.0, 1.0), (-0.0, 1.0)])
+
+    def test_every_triangulation_is_canonical(self):
+        t = Triangulation([(0, 2, 3), (1, 2, 0)])
+        assert t.triangles == ((0, 1, 2), (0, 2, 3))
+        assert not t.array.flags.writeable
+        assert t == Triangulation(t.triangles[::-1])
 
 
 class TestDelaunay:
     def test_square_tie_break_uses_smallest_triple(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         t = delaunay(ps)
         assert t.triangles == ((0, 1, 2), (0, 2, 3))
         assert len(t.edges) == 5
 
     def test_three_points(self):
-        ps = PointSet.from_coords([(0, 0), (3, 0), (0, 4)])
+        ps = PointSet([(0, 0), (3, 0), (0, 4)])
         t = delaunay(ps)
         assert t.triangles == ((0, 1, 2),)
 
     def test_all_collinear_raises(self):
         with pytest.raises(AllCollinearError):
-            delaunay(PointSet.from_coords([(0, 0), (1, 1), (2, 2), (3, 3)]))
+            delaunay(PointSet([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
     def test_matches_flip_oracle_seed42(self):
         ps = random_points(100, seed=42)
@@ -122,14 +148,14 @@ class TestDelaunay:
 
     def test_collinear_plus_apex(self):
         # Collinear points on the hull boundary must survive.
-        ps = PointSet.from_coords([(0, 0), (1, 0), (2, 0), (3, 0), (1.5, 2.0)])
+        ps = PointSet([(0, 0), (1, 0), (2, 0), (3, 0), (1.5, 2.0)])
         t = delaunay(ps)
         rep = is_valid_delaunay(ps, t, 0.0)
         assert rep.valid
         assert len(t.triangles) == 3
 
     def test_grid_with_ties_valid(self):
-        ps = PointSet.from_coords([(x, y) for x in range(4) for y in range(4)])
+        ps = PointSet([(x, y) for x in range(4) for y in range(4)])
         t = delaunay(ps)
         assert is_valid_delaunay(ps, t, 0.0).valid
 
@@ -164,15 +190,15 @@ class TestEulerRelation:
 
 class TestValidity:
     def test_square_either_diagonal_valid(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         for tris in [[(0, 1, 2), (0, 2, 3)], [(0, 1, 3), (1, 2, 3)]]:
-            rep = is_valid_delaunay(ps, Triangulation.from_triples(tris), 0.0)
+            rep = is_valid_delaunay(ps, Triangulation(tris), 0.0)
             assert rep.valid
 
     def test_illegal_diagonal_reports_violations(self):
         # Convex quad with a uniquely legal diagonal; choose the other one.
-        ps = PointSet.from_coords([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
-        bad = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
+        ps = PointSet([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
+        bad = Triangulation([(0, 1, 2), (0, 2, 3)])
         rep = is_valid_delaunay(ps, bad, 0.0)
         assert not rep.valid
         assert len(rep.violations) == 2  # both triangles see the opposite point
@@ -185,35 +211,35 @@ class TestValidity:
         assert is_valid_delaunay(ps, delaunay(ps), 0.0).valid
 
     def test_structural_error_distinct_from_invalid(self):
-        ps = PointSet.from_coords(SQUARE)
-        overlapping = Triangulation.from_triples([(0, 1, 2), (0, 1, 3)])
+        ps = PointSet(SQUARE)
+        overlapping = Triangulation([(0, 1, 2), (0, 1, 3)])
         with pytest.raises(TriangulationStructureError):
             is_valid_delaunay(ps, overlapping, 0.0)
 
     def test_bad_index_is_structural(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         with pytest.raises(TriangulationStructureError):
-            is_valid_delaunay(ps, Triangulation.from_triples([(0, 1, 9)]), 0.0)
+            is_valid_delaunay(ps, Triangulation([(0, 1, 9)]), 0.0)
 
     def test_unused_point_is_structural(self):
-        ps = PointSet.from_coords(SQUARE + [(0.5, 0.5)])
+        ps = PointSet(SQUARE + [(0.5, 0.5)])
         with pytest.raises(TriangulationStructureError):
             is_valid_delaunay(
-                ps, Triangulation.from_triples([(0, 1, 2), (0, 2, 3)]), 0.0
+                ps, Triangulation([(0, 1, 2), (0, 2, 3)]), 0.0
             )
 
     def test_degenerate_triangle_is_structural(self):
-        ps = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 1)])
+        ps = PointSet([(0, 0), (1, 1), (2, 2), (0, 1)])
         with pytest.raises(TriangulationStructureError):
             is_valid_delaunay(
-                ps, Triangulation.from_triples([(0, 1, 2), (0, 1, 3)]), 0.0
+                ps, Triangulation([(0, 1, 2), (0, 1, 3)]), 0.0
             )
 
     def test_eps_tolerance_masks_tiny_violation(self):
         # Nudge one square corner so one diagonal is barely illegal.
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0 + 1e-12, 1.0), (0.0, 1.0)]
-        ps = PointSet.from_coords(pts)
-        tri = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
+        ps = PointSet(pts)
+        tri = Triangulation([(0, 1, 2), (0, 2, 3)])
         strict = is_valid_delaunay(ps, tri, 0.0)
         loose = is_valid_delaunay(ps, tri, 1e-6)
         assert not strict.valid
@@ -222,7 +248,7 @@ class TestValidity:
 
 class TestPerturb:
     def test_zero_delta_identity(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         assert all(a == b for a, b in zip(ps, perturb(ps, 0.0, seed=1)))
 
     def test_same_seed_identical(self):
@@ -248,7 +274,7 @@ class TestPerturb:
             assert got == want
 
     def test_degenerate_draws_raise_like_the_point_loop(self):
-        ps = PointSet.from_coords(MERGEABLE)
+        ps = PointSet(MERGEABLE)
         merged = 0
         for seed in range(50):
             try:
@@ -263,7 +289,7 @@ class TestPerturb:
         for run in (perturb, perturb_points):
             with pytest.raises(GeometryError, match="non-finite"):
                 run(ps, math.inf, 0)
-        huge = PointSet.from_coords([(1.5e308, 1.5e308), (-1.5e308, 0.0)])
+        huge = PointSet([(1.5e308, 1.5e308), (-1.5e308, 0.0)])
         overflowed = 0
         for seed in range(20):
             try:
@@ -277,7 +303,7 @@ class TestPerturb:
         assert 0 < overflowed < 20
 
     def test_square_perturbation_has_unique_diagonal(self):
-        ps = perturb(PointSet.from_coords(SQUARE), 1e-9, seed=1)
+        ps = perturb(PointSet(SQUARE), 1e-9, seed=1)
         pts = list(ps)
         inside1 = incircle(pts[0], pts[1], pts[2], pts[3])
         inside2 = incircle(pts[0], pts[1], pts[3], pts[2])
@@ -287,11 +313,11 @@ class TestPerturb:
 
 class TestStability:
     def test_cocircular_square_unstable(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         assert stability_check(ps, delaunay(ps), 0.1, trials=5, seed=0) is False
 
     def test_single_triangle_stable(self):
-        ps = PointSet.from_coords([(0, 0), (3, 0), (0, 4)])
+        ps = PointSet([(0, 0), (3, 0), (0, 4)])
         t = delaunay(ps)
         delta = 0.01 * 3.0
         assert stability_check(ps, t, delta, trials=100, seed=0) is True
@@ -301,7 +327,7 @@ class TestStability:
             (math.cos(k * math.pi / 3 + 0.1 * k * k % 0.3), math.sin(k * math.pi / 3))
             for k in range(6)
         ]
-        ps = PointSet.from_coords(pts)
+        ps = PointSet(pts)
         t = delaunay(ps)
         delta = 0.5
         for _ in range(40):
@@ -312,7 +338,7 @@ class TestStability:
             pytest.fail("no stable delta found")
         assert stability_check(ps, t, delta, trials=100, seed=1)
 
-    @pytest.mark.parametrize("kind", ["cw", "drop", "unused", "unsorted"])
+    @pytest.mark.parametrize("kind", ["cw", "drop", "unused"])
     def test_cw_or_non_tiling_target_is_unstable(self, kind):
         ps = random_points(30, seed=8)
         tris = list(delaunay(ps).triangles)
@@ -327,14 +353,12 @@ class TestStability:
             keep = [i for i in range(len(ps)) if i != inner]
             rest = delaunay(PointSet(tuple(ps[i] for i in keep)))
             tris = [tuple(keep[i] for i in tri) for tri in rest.triangles]
-        t = Triangulation.from_triples(tris)
-        if kind == "unsorted":
-            t = Triangulation(t.triangles[::-1])
+        t = Triangulation(tris)
         assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
         assert stability_check(ps, t, 1e-9, trials=5, seed=0) is False
 
     def test_merged_trial_raises_like_perturb(self):
-        ps = PointSet.from_coords(MERGEABLE)
+        ps = PointSet(MERGEABLE)
         t = delaunay(ps)
         seeds = []
         for seed in range(100):
@@ -369,8 +393,8 @@ class TestStability:
 
 class TestMakeUnique:
     def test_square_other_diagonal(self):
-        ps = PointSet.from_coords(SQUARE)
-        target = Triangulation.from_triples([(0, 1, 3), (1, 2, 3)])
+        ps = PointSet(SQUARE)
+        target = Triangulation([(0, 1, 3), (1, 2, 3)])
         moved = make_unique_delaunay(ps, target, budget=1e-6)
         assert delaunay(moved).triangles == target.triangles
         assert max(dist(p, q) for p, q in zip(ps, moved)) <= 1e-6
@@ -380,8 +404,8 @@ class TestMakeUnique:
         # cocircular square must come back perturbed so the choice is forced.
         from delaunay_dilation.triangulation import _has_exact_cocircularity
 
-        ps = PointSet.from_coords(SQUARE)
-        target = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
+        ps = PointSet(SQUARE)
+        target = Triangulation([(0, 1, 2), (0, 2, 3)])
         moved = make_unique_delaunay(ps, target, budget=1e-6)
         assert moved is not ps
         assert delaunay(moved).triangles == target.triangles
@@ -407,7 +431,7 @@ class TestMakeUnique:
         # reach.  Either way the result is the target, strictly Delaunay, or
         # RealizationError.
         coords = data.draw(near_cocircular_coords())
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         try:
             target = delaunay(ps)
         except AllCollinearError:
@@ -419,7 +443,7 @@ class TestMakeUnique:
                 break
             (i, j), (u, v, w1, w2) = data.draw(st.sampled_from(quads))
             tris[i], tris[j] = [u, w2, w1], [v, w1, w2]
-        target = Triangulation.from_triples(tris)
+        target = Triangulation(tris)
         try:
             moved = make_unique_delaunay(ps, target, budget=1e-6)
         except RealizationError:
@@ -430,10 +454,28 @@ class TestMakeUnique:
         for _, (u, v, w1, w2) in interior_edges(target.triangles):
             assert incircle_frac(pts[u], pts[v], pts[w1], pts[w2]) < 0
 
+    def test_float_flat_sliver_is_refused_or_realized(self):
+        # u(1) and u(6) point opposite ways, so triangles (0, 1, 3) and
+        # (1, 4, 3) lie on one line up to rounding: their exact orientation
+        # is not 0, but their float circles are not finite.  They must join
+        # no cocircular cluster, and nothing may warn.
+        u = [(math.cos(2 * math.pi * s / 10), math.sin(2 * math.pi * s / 10)) for s in (1, 6, 0)]
+        ps = PointSet(u + [(0.5 * x, 0.5 * y) for x, y in u])
+        target = Triangulation(
+            [(0, 1, 3), (0, 3, 2), (1, 2, 4), (1, 4, 3), (2, 3, 5), (2, 5, 4), (3, 4, 5)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                moved = make_unique_delaunay(ps, target, budget=1e-6)
+            except RealizationError:
+                return
+        assert delaunay(moved) == target
+
     def test_impossible_target_raises(self):
         # Non-Delaunay diagonal of a quad with no cocircular freedom.
-        ps = PointSet.from_coords([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
-        bad = Triangulation.from_triples([(0, 1, 2), (0, 2, 3)])
+        ps = PointSet([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
+        bad = Triangulation([(0, 1, 2), (0, 2, 3)])
         with pytest.raises(RealizationError):
             make_unique_delaunay(ps, bad, budget=1e-9)
 
@@ -445,7 +487,7 @@ class TestDelaunayCertificate:
         ids=["square", "grid4", "collinear-hull"],
     )
     def test_exact_zero_is_undecided(self, coords):
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         target = _target_arrays(delaunay(ps), len(ps))
         assert _delaunay_certificate(ps.coords, target) == 0
 
@@ -453,8 +495,8 @@ class TestDelaunayCertificate:
     def test_non_tilings_are_refused(self, reason):
         # Among them a pentagram fan: ccw triangles, left turns, winding twice.
         points, simplices = BAD_QHULL[reason]
-        ps = PointSet.from_coords(points)
-        t = Triangulation.from_triples(simplices)
+        ps = PointSet(points)
+        t = Triangulation(simplices)
         assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
 
     @settings(max_examples=200, deadline=None)
@@ -463,7 +505,7 @@ class TestDelaunayCertificate:
         # Whenever the certificate decides, delaunay of the moved points
         # returns the target exactly if and only if the verdict is +1.
         coords = data.draw(certificate_inputs())
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         try:
             tris = [list(t) for t in delaunay(ps).triangles]
         except AllCollinearError:
@@ -482,7 +524,7 @@ class TestDelaunayCertificate:
         elif kind == "cw":
             k = data.draw(st.integers(0, len(tris) - 1))
             tris[k] = tris[k][::-1]
-        target = Triangulation.from_triples(tris)
+        target = Triangulation(tris)
         span = float(np.ptp(ps.coords, axis=0).max())
         rel = data.draw(st.sampled_from([0.0] + [10.0**-k for k in range(1, 15)]))
         moved = perturb(ps, rel * span, seed=data.draw(st.integers(0, 2**32 - 1)))
@@ -569,10 +611,10 @@ def flippable_quads(coords, triangles):
 
 class TestConvexHull:
     def test_square_hull(self):
-        ps = PointSet.from_coords(SQUARE)
+        ps = PointSet(SQUARE)
         assert sorted(convex_hull(ps)) == [0, 1, 2, 3]
 
     def test_collinear_boundary_points_kept(self):
-        ps = PointSet.from_coords([(0, 0), (1, 0), (2, 0), (1, 1)])
+        ps = PointSet([(0, 0), (1, 0), (2, 0), (1, 1)])
         assert sorted(convex_hull(ps, keep_collinear=True)) == [0, 1, 2, 3]
         assert sorted(convex_hull(ps, keep_collinear=False)) == [0, 2, 3]

@@ -108,8 +108,8 @@ SLIVER_TRIANGLES = [(0, 1, 2), (0, 3, 1)]
 
 
 def test_sliver_violations_found_at_eps0():
-    ps = PointSet.from_coords(SLIVER)
-    t = Triangulation.from_triples(SLIVER_TRIANGLES)
+    ps = PointSet(SLIVER)
+    t = Triangulation(SLIVER_TRIANGLES)
     assert incircle_frac(*SLIVER) > 0
     # The float circumcentres of both slivers are not finite, so the band
     # reference never sees a candidate.
@@ -122,8 +122,8 @@ def test_sliver_violations_found_at_eps0():
 def test_sliver_verify_eps0_exits_1(tmp_path, capsys):
     ppath = tmp_path / "points.json"
     tpath = tmp_path / "tri.json"
-    ppath.write_text(points_to_json(PointSet.from_coords(SLIVER)))
-    tpath.write_text(triangulation_to_json(Triangulation.from_triples(SLIVER_TRIANGLES)))
+    ppath.write_text(points_to_json(PointSet(SLIVER)))
+    tpath.write_text(triangulation_to_json(Triangulation(SLIVER_TRIANGLES)))
     assert main(["verify", str(ppath), str(tpath), "--eps", "0"]) == 1
     assert "INVALID at eps=0.0: 2 violation(s)" in capsys.readouterr().out
 
@@ -206,8 +206,8 @@ def test_eps0_violations_are_exactly_the_positive_pairs(pts, picks):
     assume(tris)
     for pick in picks:
         tris = _flip(tris, pts, pick)
-    ps = PointSet.from_coords(pts)
-    t = Triangulation.from_triples(tris)
+    ps = PointSet(pts)
+    t = Triangulation(tris)
 
     def sign(tri, p):
         return incircle_frac(*(pts[k] for k in tri), pts[p])
@@ -234,8 +234,9 @@ def test_eps0_violations_are_exactly_the_positive_pairs(pts, picks):
     assert _has_exact_cocircularity(ps, t) == tied
 
 
-def test_exact_incircle_matches_rational_oracle():
-    rng = random.Random(11)
+def _rational_oracle_inputs(rng):
+    """Points near one circle at each scale; then (65, 0), (63, 16) and
+    (60, 25) with a fourth point on their circle x² + y² = 4225 or far out."""
     for scale in SCALES + [1e-300, 1e200]:
         cx, cy, r = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2.0)
         pts = []
@@ -244,16 +245,24 @@ def test_exact_incircle_matches_rational_oracle():
             x, y = (cx + r * math.cos(a)) * scale, (cy + r * math.sin(a)) * scale
             pts.append((_ulps(x, rng.randint(-2, 2)), _ulps(y, rng.randint(-2, 2))))
         pts += [(rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale) for _ in range(4)]
+        yield scale, pts
+    for d in [(56.0, 33.0), (-2.0**60, 0.0)]:
+        yield d, [(65.0, 0.0), (63.0, 16.0), (60.0, 25.0), d]
+
+
+def test_exact_incircle_matches_rational_oracle():
+    rng = random.Random(11)
+    for case, pts in _rational_oracle_inputs(rng):
         tris = []
         for tri in itertools.combinations(range(len(pts)), 3):
             o = orient_frac(*(pts[k] for k in tri))
             if o:
                 tris.append(tri if o > 0 else (tri[0], tri[2], tri[1]))
-        tris = rng.sample(tris, 40)
+        tris = rng.sample(tris, min(40, len(tris)))
         rows, points = np.divmod(np.arange(len(tris) * len(pts)), len(pts))
         got = ExactIncircle(np.array(pts), np.array(tris)).signs(rows, points)
         want = [incircle_frac(*(pts[k] for k in tris[i]), pts[p]) for i, p in zip(rows, points)]
-        assert got.tolist() == want, scale
+        assert got.tolist() == want, case
 
 
 # --------------------------------------------------------------------------
@@ -286,12 +295,11 @@ def test_reference_stage_agrees_with_rational_oracle(pts, rnd):
     a, b, c = tris[rows].T
     # The stage is off where scaling to |x| < 1 is not exact (5e-324 and 5).
     for tri in tris[:5] if exact._unit is not None else ():
-        reference = exact._power(*tri)
-        if reference is None:
+        power = exact._power(*tri)
+        if power is None:
             continue
-        power, on_circle = reference
-        assert on_circle[tri[0]]
-        signs, decided = exact._reference_stage(power, on_circle, a, b, c, points)
+        assert power[tri[0]] == 0
+        signs, decided = exact._reference_stage(power, a, b, c, points)
         assert signs[decided].tolist() == want[decided].tolist()
         assert not signs[~decided].any()
 
@@ -323,7 +331,7 @@ def _dense_report(ps, t, eps):
     if eps > 0:
         with np.errstate(all="ignore"):
             return band_is_valid_delaunay(ps, t, eps)
-    tris = np.array(_structural_check(ps, t), dtype=np.intp)
+    tris = _structural_check(ps, t)
     scan = _exact_scan(ps.coords, tris, ExactIncircle(ps.coords, tris),
                        dict(candidates=0, filter=0))
     violations = [v for ti, pi, m in scan for v in zip(ti.tolist(), pi.tolist(), m.tolist())]
@@ -331,16 +339,16 @@ def _dense_report(ps, t, eps):
 
 
 def _uniform(n, seed, scale=1.0):
-    return PointSet.from_coords(sample(UniformSquare(), n, seed).coords * scale)
+    return PointSet(sample(UniformSquare(), n, seed).coords * scale)
 
 
 def _grid(k, scale=1.0):
-    return PointSet.from_coords([(x * scale, y * scale) for x in range(k) for y in range(k)])
+    return PointSet([(x * scale, y * scale) for x in range(k) for y in range(k)])
 
 
 def _swept(ps):
     """A triangulation of the hull that is far from Delaunay: the x-sweep."""
-    return Triangulation.from_triples(_sweep_triangulation(ps.coords.tolist()))
+    return Triangulation(_sweep_triangulation(ps.coords.tolist()))
 
 
 SETS = {
@@ -348,8 +356,8 @@ SETS = {
     "uniform300_swept": lambda: _uniform(300, 2),
     "grid20": lambda: _grid(20),
     "grid12_tenth_swept": lambda: _grid(12, 0.1),
-    "circle25": lambda: PointSet.from_coords(CIRCLE25),
-    "sliver": lambda: PointSet.from_coords(SLIVER),
+    "circle25": lambda: PointSet(CIRCLE25),
+    "sliver": lambda: PointSet(SLIVER),
     "uniform200_2e520": lambda: _uniform(200, 3, 2.0**520),
     "uniform200_2e520_swept": lambda: _uniform(200, 4, 2.0**520),
     "uniform200_2e505_swept": lambda: _uniform(200, 4, 2.0**505),
@@ -365,7 +373,7 @@ MODERATE = {"uniform300_swept", "grid12_tenth_swept"}
 def _case(name):
     ps = SETS[name]()
     if name == "sliver":
-        return ps, Triangulation.from_triples(SLIVER_TRIANGLES)
+        return ps, Triangulation(SLIVER_TRIANGLES)
     return ps, (_swept(ps) if name.endswith("_swept") else delaunay(ps))
 
 
@@ -408,11 +416,11 @@ def test_eps_near_one_for_a_point_near_a_centre():
     # r) is large relative to d: the absolute term of the query radius
     # covers it, where the relative slack alone does not.
     rng = random.Random(13)
-    t = Triangulation.from_triples([(0, 1, 3), (0, 2, 1)])
+    t = Triangulation([(0, 1, 3), (0, 2, 1)])
     for _ in range(300):
         a = rng.uniform(1.0, 2.0)
         p = (rng.uniform(-1.0, 1.0) * 2.0**-30, -rng.uniform(0.5, 1.0) * 2.0**-30)
-        ps = PointSet.from_coords([(-a, 0.0), (a, 0.0), p, (0.0, a)])
+        ps = PointSet([(-a, 0.0), (a, 0.0), p, (0.0, a)])
         (margin,) = [m for *_, m in band_is_valid_delaunay(ps, t, 0.5).violations]
         eps = math.nextafter(margin, 0.0)
         assert is_valid_delaunay(ps, t, eps) == band_is_valid_delaunay(ps, t, eps), (a, p)
@@ -426,7 +434,7 @@ def test_eps_of_one_or_more_admits_nothing(eps):
 
 @pytest.mark.parametrize("eps", [-1e-9, -math.inf, math.nan])
 def test_negative_or_nan_eps_raises(eps):
-    ps = PointSet.from_coords([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    ps = PointSet([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     with pytest.raises(ValueError, match="nonnegative"):
         is_valid_delaunay(ps, delaunay(ps), eps)
 
