@@ -80,47 +80,42 @@ def _load_triangulation(path: str):
 # construct
 # --------------------------------------------------------------------------
 
-def _build_construction(args) -> cons.ConstructionOutput:
+def _build_construction(args):
+    """(spec, generator) of args.kind; spec options left unset take the
+    spec's defaults."""
+    def given(*names):
+        return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
     # The specs check their parameters, so a bad one is an input error.
     try:
         if args.kind == "chew":
-            spec, generate = cons.ChewSpec(n=args.n), cons.generate_chew
-        elif args.kind == "convex":
+            return cons.ChewSpec(n=args.n), cons.generate_chew
+        if args.kind == "convex":
             n_arc = args.n_arc if args.n_arc else max(5, args.points // 2)
-            spec = cons.TwoSemicircleSpec(d=args.d, alpha=args.alpha, n_arc=n_arc)
-            generate = cons.generate_two_semicircle
-        elif args.kind == "three-circle":
+            spec = cons.TwoSemicircleSpec(n_arc=n_arc, **given("d", "alpha"))
+            return spec, cons.generate_two_semicircle
+        if args.kind == "three-circle":
             spec = cons.ThreeCircleSpec(
-                d=args.d,
-                r=args.r,
-                theta=args.theta,
-                beta=args.beta,
-                g=args.g,
-                arc_density=args.arc_density,
-                shield_margin=args.shield_margin,
+                **given("d", "r", "theta", "beta", "g", "arc_density", "shield_margin")
             )
-            generate = cons.generate_three_circle
-        else:
-            raise _UsageError(f"unknown construction kind {args.kind!r}")
+            return spec, cons.generate_three_circle
     except GeometryError as e:
         raise _UsageError(f"invalid {args.kind} parameters: {e}") from e
-    return generate(spec)
+    raise _UsageError(f"unknown construction kind {args.kind!r}")
 
 
-def _guide_circles(args) -> list[tuple[float, float, float]]:
-    if args.kind == "chew":
+def _guide_circles(spec) -> list[tuple[float, float, float]]:
+    if isinstance(spec, cons.ChewSpec):
         return [(0.0, 0.0, 1.0)]
-    if args.kind == "convex":
-        return [(-args.d / 2.0, 0.0, 1.0), (args.d / 2.0, 0.0, 1.0)]
-    return [
-        (-args.d / 2.0, 0.0, 1.0),
-        (args.d / 2.0, 0.0, 1.0),
-        (0.0, 0.0, args.r),
-    ]
+    circles = [(-spec.d / 2.0, 0.0, 1.0), (spec.d / 2.0, 0.0, 1.0)]
+    if isinstance(spec, cons.ThreeCircleSpec):
+        circles.append((0.0, 0.0, spec.r))
+    return circles
 
 
 def _cmd_construct(args) -> int:
-    out = _build_construction(args)
+    spec, generate = _build_construction(args)
+    out = generate(spec)
     graph = graph_from_triangulation(out.points, out.triangulation)
     report = max_dilation(graph)
     out_dir = Path(args.out_dir)
@@ -137,7 +132,7 @@ def _cmd_construct(args) -> int:
                 out.triangulation,
                 report,
                 marked=(out.p, out.q),
-                circles=_guide_circles(args),
+                circles=_guide_circles(spec),
                 annotation=annotation,
             ),
         )
@@ -330,15 +325,15 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=["chew", "convex", "three-circle"])
     c.add_argument("--n", type=int, default=16, help="point count (chew)")
     c.add_argument("--d", type=float, default=None, help="circle separation")
-    c.add_argument("--alpha", type=float, default=1.0, help="marker angle (convex)")
+    c.add_argument("--alpha", type=float, default=None, help="marker angle (convex)")
     c.add_argument("--points", type=int, default=222, help="total points (convex)")
     c.add_argument("--n-arc", type=int, default=None, help="points per semicircle")
-    c.add_argument("--r", type=float, default=1.1507, help="big radius (three-circle)")
-    c.add_argument("--theta", type=float, default=2.2895 / 2)
-    c.add_argument("--beta", type=float, default=1.30432 / 2)
-    c.add_argument("--g", type=float, default=0.0065)
-    c.add_argument("--arc-density", type=float, default=260.0)
-    c.add_argument("--shield-margin", type=float, default=1e-4)
+    c.add_argument("--r", type=float, default=None, help="big radius (three-circle)")
+    c.add_argument("--theta", type=float, default=None)
+    c.add_argument("--beta", type=float, default=None)
+    c.add_argument("--g", type=float, default=None)
+    c.add_argument("--arc-density", type=float, default=None)
+    c.add_argument("--shield-margin", type=float, default=None)
     c.add_argument("--out-dir", default=".")
     c.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True)
     c.add_argument("--assert-bound", type=float, default=None)
@@ -391,8 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "construct" and args.d is None:
-        args.d = 0.29 if args.kind == "convex" else 0.58
     if getattr(args, "command", None) == "sweep" and args.step <= 0:
         parser.error("--step must be positive")
     try:

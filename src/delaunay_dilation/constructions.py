@@ -36,12 +36,10 @@ from .geom import (
     Circle,
     GeometryError,
     Point2,
-    Sign,
     dist,
-    orient2d,
     tangent_points,
 )
-from .triangulation import PointSet, Triangulation, delaunay
+from .triangulation import PointSet, Triangulation, _turn_ccw, delaunay
 
 __all__ = [
     "ChewSpec",
@@ -239,18 +237,13 @@ class ConstructionOutput:
 # Funnel / strip ladders
 # --------------------------------------------------------------------------
 
-def _oriented(pts, a: int, b: int, c: int) -> tuple[int, int, int]:
-    if orient2d(pts[a], pts[b], pts[c]) is Sign.POSITIVE:
-        return (a, b, c)
-    return (a, c, b)
-
-
-def _ladder(pts, side_a, side_b):
+def _ladder(side_a, side_b):
     """Zigzag-triangulate between two chains sorted by a shared key.
 
     side_a and side_b are lists of (index, key); ties take side_a first.
-    Returns the triangles, the last vertex on each side, and the pair of
-    keys reached before the first rung and after each one.
+    Returns the triangles, in either orientation, the last vertex on each
+    side, and the pair of keys reached before the first rung and after
+    each one.
     """
     (la, ka), (lb, kb) = side_a[0], side_b[0]
     tris = []
@@ -263,18 +256,18 @@ def _ladder(pts, side_a, side_b):
         if take_a:
             v, ka = side_a[ia]
             ia += 1
-            tris.append(_oriented(pts, la, v, lb))
+            tris.append((la, v, lb))
             la = v
         else:
             v, kb = side_b[ib]
             ib += 1
-            tris.append(_oriented(pts, la, v, lb))
+            tris.append((la, v, lb))
             lb = v
         frontiers.append((ka, kb))
     return tris, (la, lb), frontiers
 
 
-def _funnel(pts, mark, side_a, side_b, terminal=None, check_rungs=False):
+def _funnel(mark, side_a, side_b, terminal=None, check_rungs=False):
     """Zigzag-triangulate a convex chain pair relative to a mark vertex.
 
     side_a and side_b are lists of (index, boundary distance from mark)
@@ -282,13 +275,14 @@ def _funnel(pts, mark, side_a, side_b, terminal=None, check_rungs=False):
     Every chord produced connects the two sides, so boundary paths from the
     mark stay shortest; with check_rungs each chord is validated against
     the arc-versus-detour inequality (angles measured on a unit circle).
+    The triangles come in either orientation.
     """
     if not side_a or not side_b:
         raise GeometryError("funnel needs points on both sides of the mark")
-    rungs, (la, lb), frontiers = _ladder(pts, side_a, side_b)
-    tris = [_oriented(pts, mark, side_a[0][0], side_b[0][0])] + rungs
+    rungs, (la, lb), frontiers = _ladder(side_a, side_b)
+    tris = [(mark, side_a[0][0], side_b[0][0])] + rungs
     if terminal is not None:
-        tris.append(_oriented(pts, la, terminal, lb))
+        tris.append((la, terminal, lb))
 
     if check_rungs:
         used = frontiers if terminal is not None else frontiers[:-1]
@@ -333,10 +327,11 @@ def generate_chew(spec: ChewSpec) -> ConstructionOutput:
     step = 2.0 * math.pi / n
     side_a = [(k, k * step) for k in range(1, half)]
     side_b = [(n - k, k * step) for k in range(1, half)]
-    tris = _funnel(pts, 0, side_a, side_b, terminal=half)
+    tris = _funnel(0, side_a, side_b, terminal=half)
+    ps = PointSet(tuple(pts))
     return ConstructionOutput(
-        points=PointSet(tuple(pts)),
-        triangulation=Triangulation(tris),
+        points=ps,
+        triangulation=Triangulation(_turn_ccw(ps.coords, tris)[0]),
         p=0,
         q=half,
         predicted_dilation=half * math.sin(math.pi / n),
@@ -386,22 +381,22 @@ def generate_two_semicircle(spec: TwoSemicircleSpec) -> ConstructionOutput:
     right_top = [(q_idx + i, k) for i, k in top_chain]
     right_bot = [(q_idx + i, k) for i, k in bot_chain]
 
-    tris = _funnel(pts, p_idx, top_chain, bot_chain, check_rungs=True)
-    tris += _funnel(pts, q_idx, right_top, right_bot, check_rungs=True)
+    tris = _funnel(p_idx, top_chain, bot_chain, check_rungs=True)
+    tris += _funnel(q_idx, right_top, right_bot, check_rungs=True)
 
     e_ltop = n_top                  # (-d/2, 1)
     e_lbot = n_top + n_bot          # (-d/2, -1)
     e_rbot = q_idx + n_top          # (d/2, -1)
     e_rtop = q_idx + n_top + n_bot  # (d/2, 1)
     tris += _ladder(
-        pts,
         [(e_ltop, -d / 2.0), (e_rtop, d / 2.0)],
         [(e_lbot, -d / 2.0), (e_rbot, d / 2.0)],
     )[0]
 
+    ps = PointSet(tuple(pts))
     return ConstructionOutput(
-        points=PointSet(tuple(pts)),
-        triangulation=Triangulation(tris),
+        points=ps,
+        triangulation=Triangulation(_turn_ccw(ps.coords, tris)[0]),
         p=p_idx,
         q=q_idx,
         predicted_dilation=closed_form_t(d, alpha)[1],
@@ -603,9 +598,9 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
     for ids in (left_ids, right_ids, big_family):
         block |= np.isin(built.array, list(ids)).all(axis=1)
     tris = built.array[~block].tolist()
-    tris += _funnel(coords, p_idx, left_top, left_bot, check_rungs=True)
-    tris += _funnel(coords, q_idx, right_top, right_bot, check_rungs=True)
-    tris += _ladder(coords, strip_top, strip_bot)[0]
+    tris += _funnel(p_idx, left_top, left_bot, check_rungs=True)
+    tris += _funnel(q_idx, right_top, right_bot, check_rungs=True)
+    tris += _ladder(strip_top, strip_bot)[0]
 
     # Boundary route: unit arc to the junction, gap hop, big arc, and mirror.
     hop = dist(coords[left_top[-1][0]], coords[big_top[0][0]])
@@ -614,7 +609,7 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
 
     return ConstructionOutput(
         points=ps,
-        triangulation=Triangulation(tris),
+        triangulation=Triangulation(_turn_ccw(ps.coords, tris)[0]),
         p=p_idx,
         q=q_idx,
         predicted_dilation=route / ell,

@@ -30,7 +30,6 @@ from .geom import (
     ExactIncircle,
     GeometryError,
     Point2,
-    Sign,
     _incircle_float,
     _orient2d_exact,
     _orient2d_float,
@@ -126,9 +125,13 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 
 def _rows(values, width: int, dtype=None) -> np.ndarray:
     """values, an array or an iterable of rows (Point2s too), as a new
-    (k, width) array of dtype; GeometryError for anything else."""
+    (k, width) array of dtype; GeometryError for anything else, booleans and
+    strings included, which numpy would read as numbers."""
     try:
         rows = values if isinstance(values, np.ndarray) else [tuple(v) for v in values]
+        cells = [values.dtype.type()] if rows is values else itertools.chain.from_iterable(rows)
+        if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in cells):
+            raise TypeError("booleans and strings are not numbers")
         arr = np.array(rows, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as e:
         raise GeometryError(f"expected rows of {width} numbers: {e}") from None
@@ -236,36 +239,23 @@ def triangulation_from_json(text: str) -> Triangulation:
 # --------------------------------------------------------------------------
 
 def convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
-    """Hull vertex indices in ccw order.
+    """Hull vertex indices in ccw order, from the lexicographically smallest.
 
-    With keep_collinear=True, points lying on hull edges are included.
+    With keep_collinear=True, points lying on hull edges are included.  The
+    hull is read from the final chains of ``_sweep_triangulation``; that of
+    fully collinear input is the sorted points, or their two ends.
     """
-    n = len(ps)
     order = np.lexsort(ps.coords.T[::-1]).tolist()
-    if n < 3:
+    if len(ps) < 3:
         return order
-    pts = ps.points
-
-    def build(indices):
-        chain: list[int] = []
-        for i in indices:
-            while len(chain) >= 2:
-                s = orient2d(pts[chain[-2]], pts[chain[-1]], pts[i])
-                if s is Sign.NEGATIVE or (s is Sign.ZERO and not keep_collinear):
-                    chain.pop()
-                else:
-                    break
-            chain.append(i)
-        return chain
-
-    lower = build(order)
-    upper = build(reversed(order))
-    if len(lower) == n and len(upper) == n and all(
-        orient2d(pts[order[0]], pts[order[-1]], pts[i]) is Sign.ZERO for i in order[1:-1]
-    ):
-        # Fully collinear input: the "hull" is the chain itself.
-        return order
-    return lower[:-1] + upper[:-1]
+    tris, lower, upper = _sweep_triangulation(ps)
+    if not len(tris):
+        return order if keep_collinear else [order[0], order[-1]]
+    ring = np.array(lower[:-1] + upper[:0:-1], dtype=np.int64)
+    if not keep_collinear:
+        turns = np.stack([np.roll(ring, 1), ring, np.roll(ring, -1)], axis=1)
+        ring = ring[_orientations(ps.coords, turns) > 0]
+    return ring.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +292,7 @@ def delaunay(ps: PointSet) -> Triangulation:
     log.debug(
         "delaunay n=%d: %s seed, %d rounds, %d edges tested, %d exact "
         "(%d reference, %d integer), %d flips, %d ties",
-        len(ps), seed, counts["rounds"], counts["tested"], counts["exact"],
+        len(ps), seed, counts["rounds"], counts["tested"], counts["reference"] + counts["integer"],
         counts["reference"], counts["integer"], counts["flips"], len(ties),
     )
     if len(ties):
@@ -320,11 +310,13 @@ def _seed(ps: PointSet):
     """
     for name, options in (("joggled", "QJ"), ("plain", None)):
         tris = _qhull_triangles(ps, options)
-        quads = None if tris is None else _tiling(ps, tris)
+        quads = None if tris is None else _tiling(ps.coords, tris)
         if quads is not None:
             return name, tris, quads
-    tris = _sweep_triangulation(ps)
-    return "sweep", tris, _tiling(ps, tris)
+    tris = _sweep_triangulation(ps)[0]
+    if not len(tris):
+        raise AllCollinearError("all points are collinear")
+    return "sweep", tris, _tiling(ps.coords, tris)
 
 
 def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
@@ -340,8 +332,8 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
     tested again.
 
     Returns the triangles, their half-edges, the ties and the counts of
-    rounds, edges tested, exact fallbacks (and of those, the ones reference
-    circles and integers decided) and flips.  The ties are the
+    rounds, edges tested and flips, and of the exact fallbacks that
+    reference circles and integers decided.  The ties are the
     interior u < v half-edges whose last test gave 0.  An edge's test stays
     current while neither of its triangles changes, and so does its index.
     """
@@ -350,16 +342,11 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
     last = np.zeros(len(u), dtype=np.int8)
     edges = np.flatnonzero((twin >= 0) & (u < v))
     exact = ExactIncircle(coords)
-    counts = dict(rounds=0, tested=0, exact=0, flips=0)
+    counts = dict(rounds=0, tested=0, flips=0)
     while len(edges):
         counts["rounds"] += 1
         counts["tested"] += len(edges)
-        a, b, c, x = u[edges], v[edges], w[edges], w[twin[edges]]
-        signs = _filter_signs(_incircle_float, coords, a, b, c, x)
-        unsure = np.flatnonzero(signs == 0)
-        if unsure.size:
-            counts["exact"] += unsure.size
-            signs[unsure] = exact._quad_signs(a[unsure], b[unsure], c[unsure], x[unsure])
+        signs = _incircle_signs(coords, u[edges], v[edges], w[edges], w[twin[edges]], exact)
         last[edges] = signs
         bad = edges[signs > 0]
         if not len(bad):
@@ -398,6 +385,16 @@ def _orientations(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _turn_ccw(coords: np.ndarray, tris) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the index triples tris with every row whose orientation is
+    not positive turned, (a, b, c) -> (a, c, b), and those orientations.
+    The first vertex stays, since ``_circumcircles_array`` measures from it."""
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    signs = _orientations(coords, tris)
+    tris[signs <= 0] = tris[signs <= 0][:, [0, 2, 1]]
+    return tris, signs
+
+
 def _incircle_signs(coords: np.ndarray, u, v, w, x, exact=None) -> np.ndarray:
     """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
     then ``geom.ExactIncircle`` (exact, if given) on the rows it cannot
@@ -418,18 +415,17 @@ def _qhull_triangles(ps: PointSet, options: str | None) -> np.ndarray | None:
     from scipy.spatial import Delaunay, QhullError
 
     try:
-        tris = Delaunay(ps.coords, qhull_options=options).simplices.astype(np.int64)
+        simplices = Delaunay(ps.coords, qhull_options=options).simplices
     except QhullError:
         return None
-    signs = _orientations(ps.coords, tris)
-    if (signs == 0).any():
-        return None
-    tris[signs < 0] = tris[signs < 0][:, ::-1]
-    return tris
+    tris, signs = _turn_ccw(ps.coords, simplices)
+    return None if (signs == 0).any() else tris
 
 
-def _sweep_triangulation(ps: PointSet) -> np.ndarray:
-    """Some triangulation of the hull: x-sweep with two hull chains, ccw."""
+def _sweep_triangulation(ps: PointSet) -> tuple[np.ndarray, list[int], list[int]]:
+    """Some triangulation of the hull by an x-sweep with two hull chains:
+    the ccw triangles, empty when all points are collinear, and the final
+    lower and upper chains, in x order with their collinear points."""
     pts = ps.points
     order = np.lexsort(ps.coords.T[::-1]).tolist()
     tris = []
@@ -445,29 +441,51 @@ def _sweep_triangulation(ps: PointSet) -> np.ndarray:
             upper.pop()
         lower.append(idx)
         upper.append(idx)
-    if not tris:
-        raise AllCollinearError("all points are collinear")
-    return np.array(tris, dtype=np.int64)
+    return np.array(tris, dtype=np.int64).reshape(-1, 3), lower, upper
 
 
-def _tiling(ps: PointSet, tris: np.ndarray):
-    """The half-edges of ccw triangles if they tile hull(ps), else None.
+def _tiling(coords: np.ndarray, tris: np.ndarray):
+    """The half-edges of ccw triangles if they tile the hull of coords, else None.
 
-    They tile it when every point is used, no directed edge repeats, and the
-    unpaired edges form one convex ccw cycle.  Then each point off the edges
-    lies in as many triangles as the cycle winds around it: one inside the
-    hull, zero outside.
+    They tile it when ``_frame`` holds and its hull ring is a convex ccw
+    cycle.  Then each point off the edges lies in as many triangles as the
+    cycle winds around it: one inside the hull, zero outside.
     """
-    if np.bincount(tris.ravel(), minlength=len(ps)).min() == 0:
+    frame = _frame(tris, len(coords))
+    if frame is None or _ring_sign(coords, frame[1]) < 0:
+        return None
+    return frame[0]
+
+
+def _frame(tris: np.ndarray, n: int):
+    """(half-edges, hull ring) of triangles tris over n points, or None.
+
+    This is the part of the Delaunay lemma that needs no coordinates: there
+    is a triple, every index lies in range(n) and is used, no directed edge
+    repeats, and the unpaired edges form one cycle, the hull ring.
+    """
+    if (
+        not len(tris)
+        or tris.min() < 0
+        or tris.max() >= n
+        or np.bincount(tris.ravel(), minlength=n).min() == 0
+    ):
         return None
     quads = _edge_quads(tris)
     if quads is None:
         return None
     u, v, _, twin = quads
     hull = twin < 0
-    if not _is_convex_cycle(ps, u[hull], v[hull]):
-        return None
-    return quads
+    ring = _ring(u[hull], v[hull], n)
+    return None if ring is None else (quads, ring)
+
+
+def _inner(quads):
+    """The interior edges of half-edges quads as rows (u, v, w, x): u < v,
+    u->v in ccw triangle (u, v, w), and x across the edge."""
+    u, v, w, twin = quads
+    k = np.flatnonzero((twin >= 0) & (u < v))
+    return u[k], v[k], w[k], w[twin[k]]
 
 
 def _edge_quads(tris: np.ndarray):
@@ -490,12 +508,6 @@ def _edge_quads(tris: np.ndarray):
     pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
     twin = np.where(keys[pos] == back, order[pos], -1)
     return u, v, w, twin
-
-
-def _is_convex_cycle(ps: PointSet, tails: np.ndarray, heads: np.ndarray) -> bool:
-    """Whether the edges tails[k] -> heads[k] form one convex ccw polygon."""
-    ring = _ring(tails, heads, len(ps))
-    return ring is not None and _ring_sign(ps.coords, ring) >= 0
 
 
 def _ring(tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray | None:
@@ -609,20 +621,18 @@ def _structural_check(ps: PointSet, t: Triangulation) -> np.ndarray:
         raise TriangulationStructureError("point set too small")
     if not len(t):
         raise TriangulationStructureError("empty triangulation")
-    tris = t.array.copy()
-    a, b, c = tris.T
+    a, b, c = t.array.T
     repeated = (a == b) | (b == c) | (a == c)
-    wrong = np.flatnonzero(repeated | ((tris < 0) | (tris >= n)).any(axis=1))
+    wrong = np.flatnonzero(repeated | ((t.array < 0) | (t.array >= n)).any(axis=1))
     if len(wrong):
         k = wrong[0]
         why = "repeated index" if repeated[k] else "index out of range"
-        raise TriangulationStructureError(f"{why} in triangle {tuple(tris[k].tolist())}")
-    signs = _orientations(ps.coords, tris)
+        raise TriangulationStructureError(f"{why} in triangle {tuple(t.array[k].tolist())}")
+    tris, signs = _turn_ccw(ps.coords, t.array)
     if (signs == 0).any():
-        tri = tuple(tris[np.flatnonzero(signs == 0)[0]].tolist())
+        tri = tuple(t.array[np.flatnonzero(signs == 0)[0]].tolist())
         raise TriangulationStructureError(f"degenerate triangle {tri}")
-    tris[signs < 0] = tris[signs < 0][:, [0, 2, 1]]
-    if _tiling(ps, tris) is None:
+    if _tiling(ps.coords, tris) is None:
         raise TriangulationStructureError(
             "the triangles do not tile the convex hull exactly once"
         )
@@ -754,11 +764,9 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
     coords = ps.coords
     exact = ExactIncircle(coords, tris)
     if eps == 0.0:
-        u, v, w, twin = _edge_quads(tris)
-        inner = np.flatnonzero((twin >= 0) & (u < v))
-        legal = _incircle_signs(coords, u[inner], v[inner], w[inner], w[twin[inner]], exact)
-        counts = dict(path="lemma", candidates=len(inner))
-        counts["filter"] = len(inner) - sum(exact.counts.values())
+        legal = _incircle_signs(coords, *_inner(_edge_quads(tris)), exact)
+        counts = dict(path="lemma", candidates=len(legal))
+        counts["filter"] = len(legal) - sum(exact.counts.values())
         scan = ()
         if (legal > 0).any():
             counts["path"] = "dense"
@@ -878,47 +886,28 @@ def _perturbed_coords(coords: np.ndarray, delta: float, seed: int) -> np.ndarray
 
 def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
     """Whether the two triangles at some interior edge are exactly cocircular."""
-    tris = t.array.copy()
-    signs = _orientations(ps.coords, tris)
+    tris, signs = _turn_ccw(ps.coords, t.array)
     if (signs == 0).any():
         raise CollinearPointsError("incircle needs a non-degenerate triangle")
-    tris[signs < 0] = tris[signs < 0][:, ::-1]
     quads = _edge_quads(tris)
     if quads is None:
         raise TriangulationStructureError("a directed edge is used twice")
-    u, v, w, twin = quads
-    inner = np.flatnonzero((twin >= 0) & (u < v))
-    signs = _incircle_signs(ps.coords, u[inner], v[inner], w[inner], w[twin[inner]])
-    return bool((signs == 0).any())
+    return bool((_incircle_signs(ps.coords, *_inner(quads)) == 0).any())
 
 
 def _target_arrays(t: Triangulation, n: int):
     """What ``_delaunay_certificate`` reads of target t over n points.
 
     These are t's triples, its hull ring and its interior edges as rows
-    (u, v, w, x): u->v in triangle (u, v, w), x across the edge.  None when
-    t is no Delaunay triangulation of any n distinct points, whatever their
-    coordinates: it is empty, misses a point, repeats a directed edge, or
-    its unpaired edges are not one cycle.
+    (u, v, w, x) (``_inner``).  None when t fails ``_frame`` and so is no
+    Delaunay triangulation of any n distinct points, whatever their
+    coordinates.
     """
-    tris = t.array
-    if (
-        not len(tris)
-        or tris.min() < 0
-        or tris.max() >= n
-        or np.bincount(tris.ravel(), minlength=n).min() == 0
-    ):
+    frame = _frame(t.array, n)
+    if frame is None:
         return None
-    quads = _edge_quads(tris)
-    if quads is None:
-        return None
-    u, v, w, twin = quads
-    hull = twin < 0
-    ring = _ring(u[hull], v[hull], n)
-    if ring is None:
-        return None
-    inner = np.flatnonzero((twin >= 0) & (u < v))
-    return tris, ring, (u[inner], v[inner], w[inner], w[twin[inner]])
+    quads, ring = frame
+    return t.array, ring, _inner(quads)
 
 
 def _delaunay_certificate(coords: np.ndarray, target) -> int:
@@ -947,12 +936,17 @@ def _delaunay_certificate(coords: np.ndarray, target) -> int:
     return 0 if hull == 0 or (legal == 0).any() else 1
 
 
-def _rebuilds(ps: PointSet, t: Triangulation) -> bool:
-    """Whether delaunay(ps) has exactly t's triangles."""
+def _realizes(ps: PointSet, t: Triangulation, target) -> tuple[bool, bool]:
+    """Whether delaunay(ps) has exactly t's triangles, and whether that took
+    a rebuild: ``_delaunay_certificate`` with target ``_target_arrays(t,
+    len(ps))`` decides, else delaunay is rebuilt."""
+    verdict = _delaunay_certificate(ps.coords, target)
+    if verdict:
+        return verdict > 0, False
     try:
-        return delaunay(ps) == t
+        return delaunay(ps) == t, True
     except GeometryError:
-        return False
+        return False, True
 
 
 class _StabilityTrials:
@@ -979,13 +973,9 @@ class _StabilityTrials:
             # Raises the GeometryError perturb would.
             moved = PointSet(_perturbed_coords(self.ps.coords, delta, _mix_seed(seed, trial)))
             self.run += 1
-            verdict = _delaunay_certificate(moved.coords, self.target)
-            if verdict:
-                self.certified += 1
-                kept = verdict > 0
-            else:
-                self.rebuilt += 1
-                kept = _rebuilds(moved, self.t)
+            kept, rebuilt = _realizes(moved, self.t, self.target)
+            self.rebuilt += rebuilt
+            self.certified += not rebuilt
             if not kept:
                 return False
         return True
@@ -1003,8 +993,6 @@ def stability_check(
     only when the certificate meets an exact zero.  A trial whose moved
     points repeat or are not finite raises GeometryError, as perturb does.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     return _StabilityTrials(ps, t).stable(delta, trials, seed)
 
 
@@ -1020,55 +1008,49 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     which way cocircular groups are triangulated.  Weights realizing t as a
     regular (lifted) triangulation are found by linear programming, then the
     points move toward their group's circumcenter by those weights, with
-    shrinking steps until the builder reproduces t exactly.  Both
-    acceptance tests use ``_delaunay_certificate``; delaunay is rebuilt only
-    when it meets an exact zero.  ps itself is returned when t is already
-    its unique Delaunay triangulation, with no exactly cocircular edge.
+    shrinking steps until the builder reproduces t exactly.  A point in
+    several groups moves once per group, in group order, each time from
+    where its last move left it.  Both acceptance tests use
+    ``_delaunay_certificate``; delaunay is rebuilt only when it meets an
+    exact zero.  ps itself is returned when t is already its unique
+    Delaunay triangulation, with no exactly cocircular edge.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     tris = _structural_check(ps, t)
     target = _target_arrays(t, len(ps))
-    verdict = _delaunay_certificate(ps.coords, target)
-    if verdict > 0 or (
-        verdict == 0
-        and _rebuilds(ps, t)
-        and not _has_exact_cocircularity(ps, t)
-    ):
+    kept, rebuilt = _realizes(ps, t, target)
+    if kept and not (rebuilt and _has_exact_cocircularity(ps, t)):
         return ps
 
-    clusters = _near_cocircular_clusters(ps, tris)
-    if not clusters:
+    centers, quads, labels = _near_cocircular_clusters(ps, tris)
+    if not len(centers):
         raise RealizationError(
             "triangulation differs from the Delaunay but has no cocircular freedom"
         )
-    weights = _cluster_weights(ps.coords.tolist(), clusters)
+    points, clusters, rank, weights = _cluster_weights(ps.coords, centers, quads, labels)
 
     dx, dy = (ps.coords[0] - ps.coords).T.tolist()
     scale = max(map(math.hypot, dx, dy)) or 1.0
     step = min(budget, 1e-6 * scale) * 0.999
-    total_w: dict[int, float] = {}
-    for (pt_idx, _), w in weights:
-        total_w[pt_idx] = total_w.get(pt_idx, 0.0) + w
-    wmax = max(total_w.values()) or 1.0
+    wmax = np.bincount(points, weights=weights)[points].max() or 1.0
+    # Within one occurrence rank every point moves at most once.
+    moves = [np.flatnonzero(rank == k) for k in range(rank.max() + 1)]
     for _ in range(8):
-        moved = ps.coords.tolist()
-        for (pt_idx, center), w in weights:
-            x, y = moved[pt_idx]
-            ux, uy = x - center[0], y - center[1]
-            norm = math.hypot(ux, uy)
-            if norm == 0.0:
-                continue
-            f = step * (w / wmax) / norm
-            moved[pt_idx] = [x - f * ux, y - f * uy]
+        moved = ps.coords.copy()
+        for k in moves:
+            p = points[k]
+            u = moved[p] - centers[clusters[k]]
+            norm = np.fromiter(map(math.hypot, *u.T.tolist()), np.float64, len(k))
+            go = norm != 0.0
+            f = step * (weights[k][go] / wmax) / norm[go]
+            moved[p[go]] -= f[:, None] * u[go]
         try:
             candidate = PointSet(moved)
         except GeometryError:
             candidate = None
-        if candidate is not None:
-            verdict = _delaunay_certificate(candidate.coords, target)
-            if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t)):
-                return candidate
+        if candidate is not None and _realizes(candidate, t, target)[0]:
+            return candidate
         step /= 8.0
     raise RealizationError("could not realize the triangulation within budget")
 
@@ -1076,11 +1058,12 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
 def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9):
     """Groups of edge-adjacent ccw triangles sharing one circumcircle (within rtol).
 
-    Returns (shared center, interior edges) per group, ordered by the
-    smallest member.  The interior edges are rows (u, v, w1, w2), one per
-    half-edge u->v of a member i whose twin lies in a member j > i, with w1
-    and w2 the third vertices of i and j, in (triangle, slot) order.  A
-    triangle whose float circle is not finite (flat in floats) joins none.
+    Returns arrays: the groups' shared centres, ordered by smallest member,
+    their interior edges, and each edge's group.  The edges are rows
+    (u, v, w1, w2), one per half-edge u->v of a member i whose twin lies in
+    a member j > i, with w1 and w2 the third vertices of i and j, by group,
+    then (triangle, slot).  A triangle whose float circle is not finite
+    (flat in floats) joins none.
     """
     centers, radii = _circumcircles_array(ps.coords, tris)
     u, v, w, twin = _edge_quads(tris)
@@ -1096,87 +1079,74 @@ def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9
     k = k[(label[i] >= 0) & (label[i] == label[j])]
     k = k[np.argsort(label[k // 3], kind="stable")]
     quads = np.stack([u[k], v[k], w[k], w[twin[k]]], axis=1)
-    cuts = np.searchsorted(label[k // 3], np.arange(1, count))
-    clusters = []
-    for c, edges in zip(range(count), np.split(quads, cuts)):
-        center = centers[label == c].mean(axis=0)
-        clusters.append(((float(center[0]), float(center[1])), edges.tolist()))
-    return clusters
+    # Summed in triangle order from -0.0, the float identity, as mean() sums.
+    members = np.flatnonzero(label >= 0)
+    sums = np.full((count, 2), -0.0)
+    np.add.at(sums, label[members], centers[members])
+    return sums / np.bincount(label[members], minlength=count)[:, None], quads, label[k // 3]
 
 
-def _cluster_weights(pts: list, clusters):
+def _cluster_weights(coords: np.ndarray, centers, quads, labels):
     """Solve for radial weights making every cluster's diagonals strictly legal.
 
-    pts holds the coordinates as [x, y] lists.  One variable per (point,
-    cluster) incidence; a point shared by several clusters moves along the
-    sum of its per-cluster inward directions, so a constraint for one
-    cluster sees the projections of the others' moves.
+    Returns arrays (points, clusters, ranks, weights) of one variable per
+    (point, cluster) incidence, by cluster, then point; a rank counts the
+    point's earlier variables.  A point shared by several clusters moves
+    along the sum of its per-cluster inward directions, so a constraint for
+    one cluster sees the projections of the others' moves.
+
+    The constraint of quad (u, v, w1 | w2) linearises the lifted incircle
+    test: the points sit on a common circle, and lowering point p's lift by
+    weight w_p changes incircle(u, v, w1, w2) by -kappa * D(w).  The
+    diagonal (u, v) becomes strictly legal when D(w) > 0.  The coefficients
+    of D are twice the signed areas of the opposite sub-triangles.
     """
     from scipy.optimize import linprog
 
-    def inward_unit(pt_idx, center):
-        x, y = pts[pt_idx]
-        ux, uy = center[0] - x, center[1] - y
-        norm = math.hypot(ux, uy)
-        return (ux / norm, uy / norm) if norm else (0.0, 0.0)
+    n = len(coords)
+    # Each member shares an interior edge with another, so the quads hold
+    # every point of a cluster.
+    keys = np.unique(labels[:, None] * n + quads)
+    points, clusters = keys % n, keys // n
+    by_point = np.argsort(points, kind="stable")
+    rank = np.empty_like(by_point)
+    rank[by_point] = np.arange(len(keys)) - np.searchsorted(points[by_point], points[by_point])
+    # Inward unit vectors per variable; norms by math.hypot, as in the moves.
+    inward = centers[clusters] - coords[points]
+    norm = np.fromiter(map(math.hypot, *inward.T.tolist()), np.float64, len(keys))
+    unit = np.zeros_like(inward)
+    np.divide(inward, norm[:, None], out=unit, where=norm[:, None] != 0.0)
 
-    # Pass 1: register every (point, cluster) variable.  Each member shares
-    # an interior edge with another, so those edges' quads hold every point.
-    var_meta: list[tuple[int, tuple[float, float]]] = []
-    point_vars: dict[int, list[int]] = {}
-    for center, edges in clusters:
-        for pt in sorted({p for quad in edges for p in quad}):
-            point_vars.setdefault(pt, []).append(len(var_meta))
-            var_meta.append((pt, center))
+    with np.errstate(**_IGNORE):
+        pu, pv, p1, p2 = (coords[quads[:, s]].T for s in range(4))
 
-    # Pass 2: one constraint per interior edge of each cluster.
-    rows: list[dict[int, float]] = []
-    for center, edges in clusters:
-        for u, v, w1, w2 in edges:
-            coeffs = _lift_row(pts, u, v, w1, w2)
-            row: dict[int, float] = {}
-            for pt_idx, coeff in coeffs.items():
-                radial = inward_unit(pt_idx, center)
-                for vi in point_vars.get(pt_idx, ()):
-                    d = inward_unit(pt_idx, var_meta[vi][1])
-                    proj = d[0] * radial[0] + d[1] * radial[1]
-                    if proj != 0.0:
-                        row[vi] = row.get(vi, 0.0) + coeff * proj
-            rows.append(row)
+        def area2(p, q, r):
+            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
-    nvars = len(var_meta)
-    a_ub = np.zeros((len(rows), nvars))
-    for r, row in enumerate(rows):
-        for k, val in row.items():
-            a_ub[r, k] = -val
-    b_ub = -np.ones(len(rows))
+        cu = area2(pv, p1, p2)
+        cv = -area2(pu, p1, p2)
+        c1 = area2(pu, pv, p2)
+        coeff = np.stack([cu, cv, c1, -(cu + cv + c1)], axis=1).ravel()
+        # Quad slot s (row s // 4) meets each variable of its point (of rank k
+        # in variables[p, k], else -1), which moves along its cluster's inward
+        # direction d; the slot sees d's projection on its own cluster's, r.
+        variables = np.full((n, rank.max() + 1), -1)
+        variables[points, rank] = np.arange(len(keys))
+        slots = quads.ravel()
+        slot, k = np.nonzero(variables[slots] >= 0)
+        var = variables[slots[slot], k]
+        d, r = unit[var], unit[np.searchsorted(keys, labels[slot // 4] * n + slots[slot])]
+        proj = d[:, 0] * r[:, 0] + d[:, 1] * r[:, 1]
+        keep = proj != 0.0
+        a_ub = np.zeros((len(quads), len(keys)))
+        a_ub[slot[keep] // 4, var[keep]] = -(coeff[slot[keep]] * proj[keep])
     res = linprog(
-        c=np.ones(nvars),
+        c=np.ones(len(keys)),
         A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * nvars,
+        b_ub=-np.ones(len(quads)),
+        bounds=[(0, None)] * len(keys),
         method="highs",
     )
     if not res.success:
         raise RealizationError(f"weight solve failed: {res.message}")
-    return [(meta, float(w)) for meta, w in zip(var_meta, res.x)]
-
-
-def _lift_row(pts: list, u: int, v: int, w1: int, w2: int) -> dict[int, float]:
-    """Linearization of the lifted incircle test for quad (u, v, w1 | w2).
-
-    Points sit on a common circle; lowering point p's lift by weight w_p
-    changes incircle(u, v, w1, w2) by -kappa * D(w).  The diagonal (u, v)
-    becomes strictly legal when D(w) > 0.  Coefficients are twice the signed
-    areas of the opposite sub-triangles.
-    """
-
-    def area2(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    pu, pv, p1, p2 = pts[u], pts[v], pts[w1], pts[w2]
-    cu = area2(pv, p1, p2)
-    cv = -area2(pu, p1, p2)
-    c1 = area2(pu, pv, p2)
-    c2 = -(cu + cv + c1)
-    return {u: cu, v: cv, w1: c1, w2: c2}
+    return points, clusters, rank, res.x

@@ -3,11 +3,13 @@
 Deliberately share no code with the package: rational-arithmetic predicates,
 a sweep-then-Lawson-flip Delaunay builder, exhaustive simple-path
 enumeration for shortest paths, and the original dense all-pairs dilation
-reduction.  Four exceptions run on the package's exact predicates: the
+reduction.  Six exceptions run on the package's exact predicates: the
 original Bowyer-Watson Delaunay builder, the original validity check, which
 takes its eps=0 candidates from a float-margin band, the original
-structure check, which counts Euler relations, and the original convex-cycle
-test, written with Python lists.
+structure check, which counts Euler relations against the original
+monotone-chain hull, the original convex-cycle test, written with Python
+lists, and the original realisation step of ``make_unique_delaunay``, which
+builds its linear program in dicts.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from delaunay_dilation import triangulation as _tri
 from delaunay_dilation.geom import GeometryError, Point2, Sign, incircle, orient2d
 from delaunay_dilation.triangulation import (
     AllCollinearError,
     PointSet,
+    RealizationError,
     Triangulation,
     TriangulationStructureError,
     ValidityReport,
     _orientations,
     _structural_check,
-    convex_hull,
 )
 
 
@@ -567,7 +570,7 @@ def euler_structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, in
         raise TriangulationStructureError("an edge borders more than two triangles")
 
     boundary = [e for e, cnt in undirected.items() if cnt == 1]
-    hull = convex_hull(ps, keep_collinear=True)
+    hull = chain_convex_hull(ps, keep_collinear=True)
     h = len(hull)
     n_tri = len(normalized)
     n_edge = len(undirected)
@@ -577,6 +580,42 @@ def euler_structural_check(ps: PointSet, t: Triangulation) -> list[tuple[int, in
             f"n={n} h={h} triangles={n_tri} edges={n_edge} boundary={len(boundary)}"
         )
     return normalized
+
+
+# --------------------------------------------------------------------------
+# The original convex hull: Andrew's monotone chain, one orient2d call at a
+# time.  The package reads its hull from the chains of its x-sweep.
+# --------------------------------------------------------------------------
+
+def chain_convex_hull(ps: PointSet, keep_collinear: bool = True) -> list[int]:
+    """Hull vertex indices in ccw order from the lexicographically smallest
+    point; with keep_collinear=True, points lying on hull edges are included."""
+    n = len(ps)
+    order = sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
+    if n < 3:
+        return order
+    pts = ps.points
+
+    def build(indices):
+        chain: list[int] = []
+        for i in indices:
+            while len(chain) >= 2:
+                s = orient2d(pts[chain[-2]], pts[chain[-1]], pts[i])
+                if s is Sign.NEGATIVE or (s is Sign.ZERO and not keep_collinear):
+                    chain.pop()
+                else:
+                    break
+            chain.append(i)
+        return chain
+
+    lower = build(order)
+    upper = build(reversed(order))
+    if len(lower) == n and len(upper) == n and all(
+        orient2d(pts[order[0]], pts[order[-1]], pts[i]) is Sign.ZERO for i in order[1:-1]
+    ):
+        # Fully collinear input: the "hull" is the chain itself.
+        return order
+    return lower[:-1] + upper[:-1]
 
 
 # --------------------------------------------------------------------------
@@ -616,3 +655,145 @@ def perturb_points(ps: PointSet, delta: float, seed: int) -> PointSet:
         for p, r, a in zip(ps, radii, angles):
             out.append(Point2(p.x + r * math.cos(a), p.y + r * math.sin(a)))
     return PointSet(tuple(out))
+
+
+# --------------------------------------------------------------------------
+# The original realisation step of ``make_unique_delaunay``: cocircular
+# clusters as lists, one linear-program variable per (point, cluster) built
+# in dicts, and the moves one point at a time.  It runs on the package's
+# half-edges, certificate and builder; the package must move the points to
+# the same coordinates bit for bit.
+# --------------------------------------------------------------------------
+
+def dict_make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> PointSet:
+    """``make_unique_delaunay(ps, t, budget)`` for a t with cocircular
+    freedom: the early return for an already unique t is left out."""
+    tris = _structural_check(ps, t)
+    target = _tri._target_arrays(t, len(ps))
+    clusters = _list_clusters(ps, tris)
+    if not clusters:
+        raise RealizationError("no cocircular freedom")
+    weights = _dict_cluster_weights(ps.coords.tolist(), clusters)
+    dx, dy = (ps.coords[0] - ps.coords).T.tolist()
+    scale = max(map(math.hypot, dx, dy)) or 1.0
+    step = min(budget, 1e-6 * scale) * 0.999
+    total_w: dict[int, float] = {}
+    for (pt_idx, _), w in weights:
+        total_w[pt_idx] = total_w.get(pt_idx, 0.0) + w
+    wmax = max(total_w.values()) or 1.0
+    for _ in range(8):
+        moved = ps.coords.tolist()
+        for (pt_idx, center), w in weights:
+            x, y = moved[pt_idx]
+            ux, uy = x - center[0], y - center[1]
+            norm = math.hypot(ux, uy)
+            if norm == 0.0:
+                continue
+            f = step * (w / wmax) / norm
+            moved[pt_idx] = [x - f * ux, y - f * uy]
+        try:
+            candidate = PointSet(moved)
+        except GeometryError:
+            candidate = None
+        if candidate is not None:
+            verdict = _tri._delaunay_certificate(candidate.coords, target)
+            if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t)):
+                return candidate
+        step /= 8.0
+    raise RealizationError("could not realize the triangulation within budget")
+
+
+def _rebuilds(ps: PointSet, t: Triangulation) -> bool:
+    try:
+        return _tri.delaunay(ps) == t
+    except GeometryError:
+        return False
+
+
+def _list_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9):
+    """(shared center, interior edges as [u, v, w1, w2] lists) per group of
+    edge-adjacent ccw triangles sharing one float circumcircle within rtol."""
+    centers, radii = _tri._circumcircles_array(ps.coords, tris)
+    u, v, w, twin = _tri._edge_quads(tris)
+    k = np.flatnonzero(twin // 3 > np.arange(len(twin)) // 3)
+    i, j = k // 3, twin[k] // 3
+    finite = np.isfinite(radii) & np.isfinite(centers).all(axis=1)
+    r = np.maximum(radii[i], radii[j])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = finite[i] & finite[j] & (np.abs(radii[i] - radii[j]) <= rtol * r) & (
+            np.hypot(*(centers[i] - centers[j]).T) <= rtol * r
+        )
+    label, count = _tri._clusters(len(tris), i[near], j[near])
+    k = k[(label[i] >= 0) & (label[i] == label[j])]
+    k = k[np.argsort(label[k // 3], kind="stable")]
+    quads = np.stack([u[k], v[k], w[k], w[twin[k]]], axis=1)
+    cuts = np.searchsorted(label[k // 3], np.arange(1, count))
+    clusters = []
+    for c, edges in zip(range(count), np.split(quads, cuts)):
+        center = centers[label == c].mean(axis=0)
+        clusters.append(((float(center[0]), float(center[1])), edges.tolist()))
+    return clusters
+
+
+def _dict_cluster_weights(pts: list, clusters):
+    """[((point, cluster center), weight)] from the linear program, one
+    variable per (point, cluster) incidence, the rows built in dicts."""
+    from scipy.optimize import linprog
+
+    def inward_unit(pt_idx, center):
+        x, y = pts[pt_idx]
+        ux, uy = center[0] - x, center[1] - y
+        norm = math.hypot(ux, uy)
+        return (ux / norm, uy / norm) if norm else (0.0, 0.0)
+
+    var_meta: list[tuple[int, tuple[float, float]]] = []
+    point_vars: dict[int, list[int]] = {}
+    for center, edges in clusters:
+        for pt in sorted({p for quad in edges for p in quad}):
+            point_vars.setdefault(pt, []).append(len(var_meta))
+            var_meta.append((pt, center))
+
+    rows: list[dict[int, float]] = []
+    for center, edges in clusters:
+        for u, v, w1, w2 in edges:
+            coeffs = _lift_row(pts, u, v, w1, w2)
+            row: dict[int, float] = {}
+            for pt_idx, coeff in coeffs.items():
+                radial = inward_unit(pt_idx, center)
+                for vi in point_vars.get(pt_idx, ()):
+                    d = inward_unit(pt_idx, var_meta[vi][1])
+                    proj = d[0] * radial[0] + d[1] * radial[1]
+                    if proj != 0.0:
+                        row[vi] = row.get(vi, 0.0) + coeff * proj
+            rows.append(row)
+
+    nvars = len(var_meta)
+    a_ub = np.zeros((len(rows), nvars))
+    for r, row in enumerate(rows):
+        for k, val in row.items():
+            a_ub[r, k] = -val
+    res = linprog(
+        c=np.ones(nvars),
+        A_ub=a_ub,
+        b_ub=-np.ones(len(rows)),
+        bounds=[(0, None)] * nvars,
+        method="highs",
+    )
+    if not res.success:
+        raise RealizationError(f"weight solve failed: {res.message}")
+    return [(meta, float(w)) for meta, w in zip(var_meta, res.x)]
+
+
+def _lift_row(pts: list, u: int, v: int, w1: int, w2: int) -> dict[int, float]:
+    """Coefficients of the linearised lifted incircle test of quad
+    (u, v, w1 | w2): twice the signed areas of the opposite sub-triangles."""
+
+    def area2(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    pu, pv, p1, p2 = pts[u], pts[v], pts[w1], pts[w2]
+    cu = area2(pv, p1, p2)
+    cv = -area2(pu, p1, p2)
+    c1 = area2(pu, pv, p2)
+    c2 = -(cu + cv + c1)
+    return {u: cu, v: cv, w1: c1, w2: c2}

@@ -5,6 +5,12 @@ import tracemalloc
 import pytest
 
 from delaunay_dilation.cli import main
+from delaunay_dilation.constructions import (
+    ThreeCircleSpec,
+    TwoSemicircleSpec,
+    generate_three_circle,
+    generate_two_semicircle,
+)
 from delaunay_dilation.triangulation import (
     PointSet,
     Triangulation,
@@ -58,6 +64,27 @@ class TestConstruct:
         assert computed > 1.5810
         assert (tmp_path / "points.json").exists()
         assert (tmp_path / "triangulation.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, generate",
+        [
+            (["convex", "--points", "64"],
+             lambda: generate_two_semicircle(TwoSemicircleSpec(n_arc=32))),
+            (["convex", "--points", "64", "--alpha", "0.9"],
+             lambda: generate_two_semicircle(TwoSemicircleSpec(alpha=0.9, n_arc=32))),
+            (["three-circle", "--arc-density", "60"],
+             lambda: generate_three_circle(ThreeCircleSpec(arc_density=60.0))),
+            (["three-circle", "--arc-density", "60", "--r", "1.2", "--g", "0.01"],
+             lambda: generate_three_circle(ThreeCircleSpec(r=1.2, g=0.01, arc_density=60.0))),
+        ],
+    )
+    def test_unset_options_take_the_spec_defaults(self, argv, generate, tmp_path):
+        assert main(["construct", *argv, "--out-dir", str(tmp_path), "--no-svg"]) == 0
+        want = generate()
+        assert points_from_json((tmp_path / "points.json").read_text()) == want.points
+        assert triangulation_from_json((tmp_path / "triangulation.json").read_text()) == (
+            want.triangulation
+        )
 
     def test_chew_8(self, tmp_path, capsys):
         code = main(["construct", "chew", "--n", "8", "--out-dir", str(tmp_path)])
@@ -144,6 +171,11 @@ class TestDilation:
         {"triangles": 3},
         {"triangles": [[0, 1, 2.5]]},
         {"triangles": [[0, 1, 2**70]]},
+        # numpy would read booleans and digit strings as numbers.
+        {"points": [[True, 0.5], [0, 1], [1, 1]]},
+        {"points": [["1", "0"], [0, 1], [1, 1]]},
+        {"points": ["12", "34", "56"]},
+        {"triangles": [[0, True, 2]]},
     ],
 )
 def test_malformed_document_exit_2(command, doc, tmp_path, capsys):

@@ -6,8 +6,9 @@ convex ccw cycle.  ``oracles.euler_structural_check`` is the original check,
 which only counted triangles, edges and boundary edges against the hull.
 Whatever the tiling test accepts, the Euler counts accept too; the reverse
 fails on the pentagram fan, which winds twice around its centre.  The
-tiling test's convex-cycle step is checked against its original list-based
-version, ``oracles.loop_is_convex_cycle``.
+tiling test's convex-cycle step, ``_ring`` and then ``_ring_sign``, is
+checked against its original list-based version,
+``oracles.loop_is_convex_cycle``.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from delaunay_dilation.triangulation import (
     Triangulation,
     TriangulationStructureError,
     _has_exact_cocircularity,
-    _is_convex_cycle,
+    _ring,
+    _ring_sign,
     _structural_check,
     convex_hull,
     delaunay,
@@ -148,5 +150,6 @@ def test_convex_cycle_matches_the_list_version(data):
             heads.append(data.draw(st.integers(0, len(ps) - 1)))
         else:
             heads[k] = data.draw(st.integers(0, len(ps) - 1))
-    got = _is_convex_cycle(ps, np.array(tails), np.array(heads))
+    ring = _ring(np.array(tails), np.array(heads), len(ps))
+    got = ring is not None and _ring_sign(ps.coords, ring) >= 0
     assert got == loop_is_convex_cycle(ps, tails, heads)

@@ -29,7 +29,22 @@ from delaunay_dilation.triangulation import (
     triangulation_from_json,
     triangulation_to_json,
 )
-from oracles import delaunay_flip_oracle, incircle_frac, orient_frac, perturb_points
+from delaunay_dilation.constructions import (
+    ChewSpec,
+    ThreeCircleSpec,
+    TwoSemicircleSpec,
+    generate_chew,
+    generate_three_circle,
+    generate_two_semicircle,
+)
+from oracles import (
+    chain_convex_hull,
+    delaunay_flip_oracle,
+    dict_make_unique_delaunay,
+    incircle_frac,
+    orient_frac,
+    perturb_points,
+)
 from test_builder import BAD_QHULL, three_circle_60
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -49,6 +64,15 @@ class TestPointSet:
     def test_duplicate_rejected(self):
         with pytest.raises(GeometryError):
             PointSet([(0, 0), (1, 1), (0, 0)])
+
+    def test_only_numbers_are_coordinates(self):
+        # numpy would read booleans and digit strings as numbers.
+        for bad in ([[True, 0.5], [0, 1], [1, 1]], [["1", "0"], [0, 1], [1, 1]],
+                    ["12", "34", "56"], np.eye(3, 2, dtype=bool), np.array([["1", "0"]])):
+            with pytest.raises(GeometryError, match="booleans and strings"):
+                PointSet(bad)
+        assert PointSet([[2**70, 0], [0, 1], [1, 1]]).coords[0, 0] == 1.1805916207174113e21
+        assert PointSet(PointSet(SQUARE)) == PointSet(np.array(SQUARE))
 
     def test_json_round_trip_full_precision(self):
         ps = random_points(17, seed=3, lo=-1e3, hi=1e3)
@@ -83,7 +107,8 @@ class TestPointSet:
         assert Triangulation(t for t in [(1, 2, 0)]).triangles == ((0, 1, 2),)
         # An int64 array holds the triples, so a larger index is refused.
         for bad in ([[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [4, 5]], [[1, 2, 3, 4, 5, 6]],
-                    [(2**70, 1, 2)], [(2**63, 1, 2)], [[0, 1, 2.5]], [[0, 1, None]], 3):
+                    [(2**70, 1, 2)], [(2**63, 1, 2)], [[0, 1, 2.5]], [[0, 1, None]], 3,
+                    [[0, True, 2]], [["0", "1", "2"]], np.ones((1, 3), dtype=bool)):
             with pytest.raises(ValueError):
                 Triangulation(bad)
 
@@ -448,6 +473,9 @@ class TestMakeUnique:
             moved = make_unique_delaunay(ps, target, budget=1e-6)
         except RealizationError:
             return
+        if moved is not ps:
+            want = dict_make_unique_delaunay(ps, target, budget=1e-6)
+            assert moved.coords.tobytes() == want.coords.tobytes()
         assert delaunay(moved).triangles == target.triangles
         assert max(dist(p, q) for p, q in zip(ps, moved)) <= 1e-6
         pts = [(p.x, p.y) for p in moved]
@@ -471,6 +499,25 @@ class TestMakeUnique:
             except RealizationError:
                 return
         assert delaunay(moved) == target
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generate_chew(ChewSpec(64)),
+            lambda: generate_chew(ChewSpec(512)),
+            lambda: generate_two_semicircle(TwoSemicircleSpec(n_arc=32)),
+            lambda: generate_two_semicircle(TwoSemicircleSpec(n_arc=111)),
+            lambda: generate_three_circle(ThreeCircleSpec(arc_density=60.0)),
+            lambda: generate_three_circle(ThreeCircleSpec()),
+        ],
+        ids=["chew64", "chew512", "convex32", "convex111", "three-circle60", "three-circle260"],
+    )
+    def test_realised_points_match_the_dict_solver(self, build):
+        out = build()
+        got = make_unique_delaunay(out.points, out.triangulation, budget=1e-6)
+        want = dict_make_unique_delaunay(out.points, out.triangulation, budget=1e-6)
+        assert got is not out.points
+        assert got.coords.tobytes() == want.coords.tobytes()
 
     def test_impossible_target_raises(self):
         # Non-Delaunay diagonal of a quad with no cocircular freedom.
@@ -618,3 +665,27 @@ class TestConvexHull:
         ps = PointSet([(0, 0), (1, 0), (2, 0), (1, 1)])
         assert sorted(convex_hull(ps, keep_collinear=True)) == [0, 1, 2, 3]
         assert sorted(convex_hull(ps, keep_collinear=False)) == [0, 2, 3]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_monotone_chain(self, data):
+        # Random sets; subsets of a small grid, whose hulls have collinear
+        # runs; and points on one line, vertical ones included, at integer
+        # steps so that they are exactly collinear.
+        kind = data.draw(st.sampled_from(["random", "grid", "collinear"]))
+        n = data.draw(st.integers(1, 30))
+        if kind == "random":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            pts = rng.random((n, 2)).tolist()
+        elif kind == "grid":
+            cells = st.tuples(st.integers(0, 4), st.integers(0, 4))
+            pts = data.draw(st.lists(cells, min_size=1, max_size=n, unique=True))
+        else:
+            dx, dy = data.draw(
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0))
+            )
+            steps = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=n, unique=True))
+            pts = [(0.5 + s * dx, -1.0 + s * dy) for s in steps]
+        ps = PointSet(pts)
+        for keep in (True, False):
+            assert convex_hull(ps, keep_collinear=keep) == chain_convex_hull(ps, keep_collinear=keep)
