@@ -156,6 +156,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_dilation(args) -> int:
     ps = _load_points(args.points)
+    if args.pair and (args.pair[0] == args.pair[1] or not all(0 <= i < len(ps) for i in args.pair)):
+        raise _UsageError(f"--pair needs two distinct indices in [0, {len(ps)})")
     if args.triangulation:
         tri = _load_triangulation(args.triangulation)
         try:
@@ -269,16 +271,21 @@ def _cmd_random(args) -> int:
 
 
 def _planted_config(kind: str, args) -> PointSet:
-    if kind == "chew":
-        out = cons.generate_chew(cons.ChewSpec(n=args.config_n))
-    elif kind == "convex":
-        out = cons.generate_two_semicircle(
-            cons.TwoSemicircleSpec(n_arc=max(5, args.config_n // 2))
-        )
-    elif kind == "three-circle":
-        out = cons.generate_three_circle(cons.ThreeCircleSpec(arc_density=60.0))
-    else:
-        raise _UsageError(f"unknown config kind {kind!r}")
+    # The specs check their parameters, so a bad one is an input error.
+    try:
+        if kind == "chew":
+            spec, generate = cons.ChewSpec(n=args.config_n), cons.generate_chew
+        elif kind == "convex":
+            spec = cons.TwoSemicircleSpec(n_arc=max(5, args.config_n // 2))
+            generate = cons.generate_two_semicircle
+        elif kind == "three-circle":
+            spec = cons.ThreeCircleSpec(arc_density=60.0)
+            generate = cons.generate_three_circle
+        else:
+            raise _UsageError(f"unknown config kind {kind!r}")
+    except GeometryError as e:
+        raise _UsageError(f"invalid {kind} configuration: {e}") from e
+    out = generate(spec)
     coords = make_unique_delaunay(out.points, out.triangulation, budget=1e-6).coords
     low = coords.min(axis=0)
     s = 0.8 / (coords.max(axis=0) - low).max()
@@ -313,6 +320,16 @@ def _cmd_plant(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return integer
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -364,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("random", help="dilation trend over random samples")
     r.add_argument("--dist", default="uniform-square")
     r.add_argument("--ns", default="50,200,1000")
-    r.add_argument("--trials", type=int, default=20)
-    r.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    r.add_argument("--trials", type=_at_least(1), default=20)
+    r.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     r.add_argument("--out", default=None)
     r.add_argument("--summary", default=None)
     r.set_defaults(func=_cmd_random)
@@ -374,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="convex",
                    choices=["chew", "convex", "three-circle"])
     p.add_argument("--config-n", type=int, default=64)
-    p.add_argument("--n-outside", type=int, default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--n-outside", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.add_argument("--assert-bound", type=float, default=None)
     p.set_defaults(func=_cmd_plant)
@@ -386,8 +403,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "sweep" and args.step <= 0:
-        parser.error("--step must be positive")
+    if getattr(args, "command", None) == "sweep":
+        if args.step <= 0:
+            parser.error("--step must be positive")
+        if not 0 <= args.d_min <= args.d_max:
+            parser.error("need 0 <= --d-min <= --d-max")
     try:
         return args.func(args)
     except _UsageError as e:

@@ -414,7 +414,8 @@ def shield_position(
 
     The point is pushed outward until the tangent path around it exceeds the
     boundary path between the tangency points by about ``margin`` (always
-    within (0, 2*margin]); the root is found by bisection to 1e-12.
+    within (0, 2*margin]); the root is found by bisection to 1e-12, or to
+    adjacent floats where those lie farther apart.
     """
     if margin <= 0:
         raise GeometryError("margin must be positive")
@@ -470,10 +471,14 @@ def shield_position(
         grow += 1
         if grow > 60:
             raise ShieldPlacementError("no bracket: tangent path never exceeds margin")
+    if not math.isfinite(excess(hi)):
+        raise ShieldPlacementError("margin too large: the tangent path overflows")
     if excess(lo) > margin:
         raise ShieldPlacementError("no sign change in the bisection bracket")
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # far out, adjacent floats lie more than 1e-12 apart
+            break
         if excess(mid) < margin:
             lo = mid
         else:

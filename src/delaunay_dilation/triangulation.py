@@ -26,7 +26,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geom import (
-    CollinearPointsError,
     ExactIncircle,
     GeometryError,
     Point2,
@@ -310,13 +309,13 @@ def _seed(ps: PointSet):
     """
     for name, options in (("joggled", "QJ"), ("plain", None)):
         tris = _qhull_triangles(ps, options)
-        quads = None if tris is None else _tiling(ps.coords, tris)
-        if quads is not None:
-            return name, tris, quads
+        frame = None if tris is None else _tiling(ps.coords, tris)
+        if frame is not None:
+            return name, tris, frame[0]
     tris = _sweep_triangulation(ps)[0]
     if not len(tris):
         raise AllCollinearError("all points are collinear")
-    return "sweep", tris, _tiling(ps.coords, tris)
+    return "sweep", tris, _tiling(ps.coords, tris)[0]
 
 
 def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
@@ -445,7 +444,7 @@ def _sweep_triangulation(ps: PointSet) -> tuple[np.ndarray, list[int], list[int]
 
 
 def _tiling(coords: np.ndarray, tris: np.ndarray):
-    """The half-edges of ccw triangles if they tile the hull of coords, else None.
+    """The ``_frame`` of ccw triangles if they tile the hull of coords, else None.
 
     They tile it when ``_frame`` holds and its hull ring is a convex ccw
     cycle.  Then each point off the edges lies in as many triangles as the
@@ -454,7 +453,7 @@ def _tiling(coords: np.ndarray, tris: np.ndarray):
     frame = _frame(tris, len(coords))
     if frame is None or _ring_sign(coords, frame[1]) < 0:
         return None
-    return frame[0]
+    return frame
 
 
 def _frame(tris: np.ndarray, n: int):
@@ -611,10 +610,11 @@ def _lexmin_polygon_triangulation(cycle: list[int]) -> list[tuple[int, int, int]
 # Validity
 # --------------------------------------------------------------------------
 
-def _structural_check(ps: PointSet, t: Triangulation) -> np.ndarray:
+def _structural_check(ps: PointSet, t: Triangulation):
     """Raise TriangulationStructureError unless t triangulates hull(ps).
 
-    Returns t's triangles turned ccw: a cw triple (a, b, c) becomes (a, c, b).
+    Returns t's triangles turned ccw, a cw triple (a, b, c) becoming
+    (a, c, b), and their ``_frame``.
     """
     n = len(ps)
     if n < 3:
@@ -632,11 +632,12 @@ def _structural_check(ps: PointSet, t: Triangulation) -> np.ndarray:
     if (signs == 0).any():
         tri = tuple(t.array[np.flatnonzero(signs == 0)[0]].tolist())
         raise TriangulationStructureError(f"degenerate triangle {tri}")
-    if _tiling(ps.coords, tris) is None:
+    frame = _tiling(ps.coords, tris)
+    if frame is None:
         raise TriangulationStructureError(
             "the triangles do not tile the convex hull exactly once"
         )
-    return tris
+    return tris, frame
 
 
 def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
@@ -760,11 +761,11 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
     """
     if not eps >= 0:
         raise ValueError("eps must be a nonnegative number")
-    tris = _structural_check(ps, t)
+    tris, (quads, _) = _structural_check(ps, t)
     coords = ps.coords
     exact = ExactIncircle(coords, tris)
     if eps == 0.0:
-        legal = _incircle_signs(coords, *_inner(_edge_quads(tris)), exact)
+        legal = _incircle_signs(coords, *_inner(quads), exact)
         counts = dict(path="lemma", candidates=len(legal))
         counts["filter"] = len(legal) - sum(exact.counts.values())
         scan = ()
@@ -884,35 +885,25 @@ def _perturbed_coords(coords: np.ndarray, delta: float, seed: int) -> np.ndarray
         return np.stack([coords[:, 0] + radii * cos, coords[:, 1] + radii * sin], axis=1)
 
 
-def _has_exact_cocircularity(ps: PointSet, t: Triangulation) -> bool:
-    """Whether the two triangles at some interior edge are exactly cocircular."""
-    tris, signs = _turn_ccw(ps.coords, t.array)
-    if (signs == 0).any():
-        raise CollinearPointsError("incircle needs a non-degenerate triangle")
-    quads = _edge_quads(tris)
-    if quads is None:
-        raise TriangulationStructureError("a directed edge is used twice")
-    return bool((_incircle_signs(ps.coords, *_inner(quads)) == 0).any())
-
-
-def _target_arrays(t: Triangulation, n: int):
+def _target_arrays(t: Triangulation, n: int, frame=None):
     """What ``_delaunay_certificate`` reads of target t over n points.
 
     These are t's triples, its hull ring and its interior edges as rows
     (u, v, w, x) (``_inner``).  None when t fails ``_frame`` and so is no
     Delaunay triangulation of any n distinct points, whatever their
-    coordinates.
+    coordinates.  frame, if given, is ``_frame(t.array, n)``, already built.
     """
-    frame = _frame(t.array, n)
+    frame = _frame(t.array, n) if frame is None else frame
     if frame is None:
         return None
     quads, ring = frame
     return t.array, ring, _inner(quads)
 
 
-def _delaunay_certificate(coords: np.ndarray, target) -> int:
+def _delaunay_certificate(coords: np.ndarray, target) -> tuple[int, bool]:
     """Whether delaunay of the distinct points coords gives the target's
-    triangles: +1 yes, -1 no, 0 undecided.
+    triangles: +1 yes, -1 no, 0 undecided; and whether some interior edge
+    is an exact tie (incircle 0), False if a triple or the ring fails first.
 
     target is ``_target_arrays(t, n)``.  +1 needs every triple strictly ccw,
     the hull ring strictly convex and every interior edge strictly legal.
@@ -923,44 +914,46 @@ def _delaunay_certificate(coords: np.ndarray, target) -> int:
     which a Delaunay triangulation has.  Any other exact zero gives 0.
     """
     if target is None:
-        return -1
+        return -1, False
     tris, ring, quads = target
     if _orientations(coords, tris).min() <= 0:
-        return -1
+        return -1, False
     hull = _ring_sign(coords, ring)
     if hull < 0:
-        return -1
+        return -1, False
     legal = _incircle_signs(coords, *quads)
+    tied = bool((legal == 0).any())
     if (legal > 0).any():
-        return -1
-    return 0 if hull == 0 or (legal == 0).any() else 1
+        return -1, tied
+    return (0 if hull == 0 or tied else 1), tied
 
 
-def _realizes(ps: PointSet, t: Triangulation, target) -> tuple[bool, bool]:
-    """Whether delaunay(ps) has exactly t's triangles, and whether that took
-    a rebuild: ``_delaunay_certificate`` with target ``_target_arrays(t,
-    len(ps))`` decides, else delaunay is rebuilt."""
-    verdict = _delaunay_certificate(ps.coords, target)
+def _realizes(ps: PointSet, t: Triangulation, target) -> tuple[bool, bool, bool]:
+    """Whether delaunay(ps) has exactly t's triangles, whether that took a
+    rebuild, and the certificate's tie answer: ``_delaunay_certificate``
+    with target ``_target_arrays(t, len(ps))`` decides, else delaunay is
+    rebuilt."""
+    verdict, tied = _delaunay_certificate(ps.coords, target)
     if verdict:
-        return verdict > 0, False
+        return verdict > 0, False, tied
     try:
-        return delaunay(ps) == t, True
+        return delaunay(ps) == t, True, tied
     except GeometryError:
-        return False, True
+        return False, True, tied
 
 
 class _StabilityTrials:
     """The perturbation trials of ``stability_check`` for one (ps, t).
 
-    What the trials share is built once: the exact-cocircularity answer and
-    the certificate's target arrays.  Counts the trials run, those the
-    certificate decided, and those decided by rebuilding with delaunay.
+    What the trials share is built once: the certificate's target arrays,
+    and its tie answer on ps, ``cocircular``.  Counts the trials run, those
+    the certificate decided, and those decided by rebuilding with delaunay.
     """
 
     def __init__(self, ps: PointSet, t: Triangulation):
         self.ps, self.t = ps, t
-        self.cocircular = _has_exact_cocircularity(ps, t)
         self.target = _target_arrays(t, len(ps))
+        self.cocircular = _delaunay_certificate(ps.coords, self.target)[1]
         self.run = self.certified = self.rebuilt = 0
 
     def stable(self, delta: float, trials: int, seed: int) -> bool:
@@ -973,7 +966,7 @@ class _StabilityTrials:
             # Raises the GeometryError perturb would.
             moved = PointSet(_perturbed_coords(self.ps.coords, delta, _mix_seed(seed, trial)))
             self.run += 1
-            kept, rebuilt = _realizes(moved, self.t, self.target)
+            kept, rebuilt, _ = _realizes(moved, self.t, self.target)
             self.rebuilt += rebuilt
             self.certified += not rebuilt
             if not kept:
@@ -988,10 +981,12 @@ def stability_check(
 
     A trial moves the points as ``perturb`` does and keeps the set when
     delaunay of the moved points returns t's triangles exactly.  An exactly
-    cocircular edge of t fails every trial.  Each trial is decided by
-    ``_delaunay_certificate`` with exact predicates; delaunay is rebuilt
-    only when the certificate meets an exact zero.  A trial whose moved
-    points repeat or are not finite raises GeometryError, as perturb does.
+    cocircular edge of t fails every trial, and so does a t with a flat or
+    cw triangle, a repeated directed edge or an unused point.  Each trial
+    is decided by ``_delaunay_certificate`` with exact predicates; delaunay
+    is rebuilt only when the certificate meets an exact zero.  A trial
+    whose moved points repeat or are not finite raises GeometryError, as
+    perturb does.
     """
     return _StabilityTrials(ps, t).stable(delta, trials, seed)
 
@@ -1017,13 +1012,14 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    tris = _structural_check(ps, t)
-    target = _target_arrays(t, len(ps))
-    kept, rebuilt = _realizes(ps, t, target)
-    if kept and not (rebuilt and _has_exact_cocircularity(ps, t)):
+    tris, frame = _structural_check(ps, t)
+    # A turned row changes the frame, and the certificate reads t as given.
+    target = _target_arrays(t, len(ps), frame if np.array_equal(tris, t.array) else None)
+    kept, _, tied = _realizes(ps, t, target)
+    if kept and not tied:
         return ps
 
-    centers, quads, labels = _near_cocircular_clusters(ps, tris)
+    centers, quads, labels = _near_cocircular_clusters(ps, tris, frame[0])
     if not len(centers):
         raise RealizationError(
             "triangulation differs from the Delaunay but has no cocircular freedom"
@@ -1055,8 +1051,9 @@ def make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> Point
     raise RealizationError("could not realize the triangulation within budget")
 
 
-def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9):
-    """Groups of edge-adjacent ccw triangles sharing one circumcircle (within rtol).
+def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, quads, rtol: float = 1e-9):
+    """Groups of edge-adjacent ccw triangles sharing one circumcircle (within
+    rtol); quads are their half-edges (``_edge_quads``).
 
     Returns arrays: the groups' shared centres, ordered by smallest member,
     their interior edges, and each edge's group.  The edges are rows
@@ -1066,7 +1063,7 @@ def _near_cocircular_clusters(ps: PointSet, tris: np.ndarray, rtol: float = 1e-9
     (flat in floats) joins none.
     """
     centers, radii = _circumcircles_array(ps.coords, tris)
-    u, v, w, twin = _edge_quads(tris)
+    u, v, w, twin = quads
     k = np.flatnonzero(twin // 3 > np.arange(len(twin)) // 3)
     i, j = k // 3, twin[k] // 3
     finite = np.isfinite(radii) & np.isfinite(centers).all(axis=1)

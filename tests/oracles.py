@@ -481,7 +481,7 @@ def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> 
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    normalized = _structural_check(ps, t)
+    normalized, _ = _structural_check(ps, t)
     coords = ps.coords
     tris = np.array(normalized, dtype=np.intp)
     centers, radii = _circumcircles_array(coords, tris)
@@ -668,7 +668,7 @@ def perturb_points(ps: PointSet, delta: float, seed: int) -> PointSet:
 def dict_make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> PointSet:
     """``make_unique_delaunay(ps, t, budget)`` for a t with cocircular
     freedom: the early return for an already unique t is left out."""
-    tris = _structural_check(ps, t)
+    tris, _ = _structural_check(ps, t)
     target = _tri._target_arrays(t, len(ps))
     clusters = _list_clusters(ps, tris)
     if not clusters:
@@ -696,7 +696,7 @@ def dict_make_unique_delaunay(ps: PointSet, t: Triangulation, budget: float) -> 
         except GeometryError:
             candidate = None
         if candidate is not None:
-            verdict = _tri._delaunay_certificate(candidate.coords, target)
+            verdict, _ = _tri._delaunay_certificate(candidate.coords, target)
             if verdict > 0 or (verdict == 0 and _rebuilds(candidate, t)):
                 return candidate
         step /= 8.0

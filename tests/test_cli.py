@@ -112,6 +112,12 @@ class TestConstruct:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("margin", ["1e5", "1e300"])
+    def test_large_shield_margin_ends(self, margin, tmp_path):
+        code = main(["construct", "three-circle", "--shield-margin", margin,
+                     "--out-dir", str(tmp_path), "--no-svg"])
+        assert code in (0, 1, 2)
+
     def test_invalid_spec_usage_error(self, tmp_path):
         code = main(
             ["construct", "chew", "--n", "7", "--out-dir", str(tmp_path), "--no-svg"]
@@ -185,6 +191,35 @@ def test_malformed_document_exit_2(command, doc, tmp_path, capsys):
     flag = ["--triangulation"] if command == "dilation" else []
     assert main([command, str(ppath), *flag, str(tpath)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "plant --n-outside -5",
+        "plant --config chew --config-n 7",
+        "random --trials 0",
+        "random --trials -2",
+        "random --seed -1",
+        "plant --seed -1",
+        "dilation {points} --pair 0 99",
+        "dilation {points} --pair -1 3",
+        "dilation {points} --pair 3 3",
+        "sweep --d-min 2 --d-max 1 --step 0.1",
+        "sweep --d-min -1 --d-max 1 --step 0.1",
+    ],
+)
+def test_bad_arguments_exit_2_before_any_work(argv, tmp_path, capsys):
+    ppath, _ = write_square(tmp_path)
+    try:
+        code = main(argv.format(points=ppath).split())
+    except SystemExit as e:  # argparse's own usage errors
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
 
 
 class TestSweep:

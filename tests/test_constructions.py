@@ -301,6 +301,19 @@ class TestShieldPosition:
         with pytest.raises(ShieldPlacementError):
             shield_position(unit_center, Point2(0.0, 0.5), big, margin=1e-4)
 
+    def test_large_margins_end(self):
+        # Past a root of about 8192 adjacent floats lie more than 1e-12
+        # apart, so the bisection must also stop at adjacent floats.  At
+        # 1e300 the tangent lengths overflow, which is refused.
+        unit_center, junction, big = self._default_junction()
+        s = shield_position(unit_center, junction, big, margin=1e5)
+        near = shield_position(unit_center, junction, big, margin=1e4)
+        assert 1e4 < dist(s, junction) and dist(near, junction) < dist(s, junction)
+        ux, uy = junction.x - unit_center.x, junction.y - unit_center.y
+        assert abs(ux * (s.y - unit_center.y) - uy * (s.x - unit_center.x)) <= 1e-12 * dist(s, unit_center)
+        with pytest.raises(ShieldPlacementError, match="overflows"):
+            shield_position(unit_center, junction, big, margin=1e300)
+
 
 class TestThreeCircle:
     def test_defaults_meet_bound(self, three_circle_default):

@@ -326,17 +326,19 @@ class TestFindStableRadius:
 
 class TestInvarianceCheck:
     def test_cocircularity_decided_once(self, monkeypatch):
+        # The tie answer is the certificate's on the unmoved points; each of
+        # the two trials then runs it on moved points.
+        ps = sample(UniformSquare(), 40, seed=21)
         calls = []
-        original = triangulation._has_exact_cocircularity
+        original = triangulation._delaunay_certificate
 
-        def counting(ps, t):
-            calls.append(1)
-            return original(ps, t)
+        def counting(coords, target):
+            calls.append(coords is ps.coords)
+            return original(coords, target)
 
-        for module in (triangulation, experiments):
-            monkeypatch.setattr(module, "_has_exact_cocircularity", counting, raising=False)
-        assert invariance_check(sample(UniformSquare(), 40, seed=21), 2.0, (1.0, 0.0), seed=0)
-        assert len(calls) == 1
+        monkeypatch.setattr(triangulation, "_delaunay_certificate", counting)
+        assert invariance_check(ps, 2.0, (1.0, 0.0), seed=0)
+        assert calls == [True, False, False]
 
     def test_identity(self):
         ps = sample(UniformSquare(), 40, seed=21)

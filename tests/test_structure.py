@@ -21,13 +21,13 @@ from delaunay_dilation.triangulation import (
     PointSet,
     Triangulation,
     TriangulationStructureError,
-    _has_exact_cocircularity,
     _ring,
     _ring_sign,
     _structural_check,
     convex_hull,
     delaunay,
     is_valid_delaunay,
+    stability_check,
 )
 from oracles import euler_structural_check, loop_is_convex_cycle
 from test_builder import BAD_QHULL
@@ -43,7 +43,7 @@ def _accepts(check, ps, t) -> bool:
 
 
 def _ccw_triples(ps, t):
-    return list(map(tuple, _structural_check(ps, t).tolist()))
+    return list(map(tuple, _structural_check(ps, t)[0].tolist()))
 
 
 @pytest.mark.parametrize("reason", list(BAD_QHULL))
@@ -54,11 +54,12 @@ def test_is_valid_delaunay_rejects_unusable_qhull_output(reason):
         is_valid_delaunay(ps, Triangulation(simplices), 0.0)
 
 
-def test_cocircularity_check_rejects_a_repeated_directed_edge():
-    points, simplices = BAD_QHULL["overlap"]
-    ps = PointSet(points)
-    with pytest.raises(TriangulationStructureError):
-        _has_exact_cocircularity(ps, Triangulation(simplices))
+@pytest.mark.parametrize("reason", list(BAD_QHULL))
+def test_stability_check_refuses_unusable_qhull_output(reason):
+    # A flat triangle or a repeated directed edge is refused like a cw row,
+    # not raised: no perturbation of the points makes such a target Delaunay.
+    points, simplices = BAD_QHULL[reason]
+    assert stability_check(PointSet(points), Triangulation(simplices), 1e-9, trials=3, seed=0) is False
 
 
 def test_double_cover_is_the_known_difference():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaunay_dilation import triangulation as tri_module
 from delaunay_dilation.geom import GeometryError, Sign, dist, incircle
 from delaunay_dilation.triangulation import (
     AllCollinearError,
@@ -16,6 +17,7 @@ from delaunay_dilation.triangulation import (
     Triangulation,
     TriangulationStructureError,
     _delaunay_certificate,
+    _StabilityTrials,
     _mix_seed,
     _target_arrays,
     convex_hull,
@@ -379,7 +381,7 @@ class TestStability:
             rest = delaunay(PointSet(tuple(ps[i] for i in keep)))
             tris = [tuple(keep[i] for i in tri) for tri in rest.triangles]
         t = Triangulation(tris)
-        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
+        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == (-1, False)
         assert stability_check(ps, t, 1e-9, trials=5, seed=0) is False
 
     def test_merged_trial_raises_like_perturb(self):
@@ -416,6 +418,47 @@ class TestStability:
         assert failures_consistent >= 0.95 * checked
 
 
+FLIPPED = {
+    "chew64": lambda: generate_chew(ChewSpec(64)),
+    "convex32": lambda: generate_two_semicircle(TwoSemicircleSpec(n_arc=32)),
+    "three-circle60": lambda: generate_three_circle(ThreeCircleSpec(arc_density=60.0)),
+}
+
+
+def _flipped(out, k, seed):
+    """out's triangulation with k interior edges flipped, on disjoint
+    triangle pairs whose new triangles are both strictly ccw."""
+    coords = out.points.coords.tolist()
+    tris = [list(t) for t in out.triangulation.triangles]
+    edges = interior_edges(tris)
+    random.Random(seed).shuffle(edges)
+    used = set()
+    for (i, j), (u, v, w1, w2) in edges:
+        if len(used) == 2 * k:
+            break
+        if i in used or j in used:
+            continue
+        if orient_frac(coords[u], coords[w2], coords[w1]) > 0 and orient_frac(coords[v], coords[w1], coords[w2]) > 0:
+            tris[i], tris[j] = [u, w2, w1], [v, w1, w2]
+            used |= {i, j}
+    assert len(used) == 2 * k
+    return Triangulation(tris)
+
+
+def _realized_or_refused(ps, target, budget) -> bool:
+    """Whether make_unique_delaunay realised target within budget; it may
+    refuse, but not warn or return anything else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            moved = make_unique_delaunay(ps, target, budget)
+        except RealizationError:
+            return False
+    assert delaunay(moved) == target
+    assert max(map(math.hypot, *(moved.coords - ps.coords).T.tolist())) <= budget
+    return True
+
+
 class TestMakeUnique:
     def test_square_other_diagonal(self):
         ps = PointSet(SQUARE)
@@ -427,14 +470,13 @@ class TestMakeUnique:
     def test_square_default_diagonal_made_unique(self):
         # Even when the builder's tie-break already picks the target, the
         # cocircular square must come back perturbed so the choice is forced.
-        from delaunay_dilation.triangulation import _has_exact_cocircularity
-
         ps = PointSet(SQUARE)
         target = Triangulation([(0, 1, 2), (0, 2, 3)])
+        assert _delaunay_certificate(ps.coords, _target_arrays(target, 4)) == (0, True)
         moved = make_unique_delaunay(ps, target, budget=1e-6)
         assert moved is not ps
         assert delaunay(moved).triangles == target.triangles
-        assert not _has_exact_cocircularity(moved, target)
+        assert _delaunay_certificate(moved.coords, _target_arrays(target, 4)) == (1, False)
 
     def test_already_unique_returned_unchanged(self):
         ps = random_points(25, seed=14)
@@ -519,6 +561,35 @@ class TestMakeUnique:
         assert got is not out.points
         assert got.coords.tobytes() == want.coords.tobytes()
 
+    def test_turned_row_is_refused(self):
+        # The structure check turns the cw row back, but the certificate
+        # reads the target as given, so no move realises it.
+        out = generate_two_semicircle(TwoSemicircleSpec(n_arc=32))
+        tris = out.triangulation.array.tolist()
+        tris[7] = tris[7][::-1]
+        with pytest.raises(RealizationError):
+            make_unique_delaunay(out.points, Triangulation(tris), budget=1e-6)
+
+    @pytest.mark.parametrize("build", list(FLIPPED), ids=list(FLIPPED))
+    def test_flipped_constructions_realized_or_refused(self, build):
+        # Targets k = 1, 5 and 20 flips away from the emitted triangulation,
+        # 4 seeds each.  Realised: chew 64 and three-circle 12 of 12 cases,
+        # convex 6 of 12 (every k = 20 case is refused).
+        out = FLIPPED[build]()
+        realised = 0
+        for seed in range(4):
+            for k in (1, 5, 20):
+                target = _flipped(out, k, seed)
+                realised += _realized_or_refused(out.points, target, 1e-6)
+        assert realised >= 6
+
+    @pytest.mark.parametrize("budget", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize("build", list(FLIPPED), ids=list(FLIPPED))
+    def test_budget_below_rounding(self, build, budget):
+        # Moves this small round away, so every construction is refused.
+        out = FLIPPED[build]()
+        assert not _realized_or_refused(out.points, out.triangulation, budget)
+
     def test_impossible_target_raises(self):
         # Non-Delaunay diagonal of a quad with no cocircular freedom.
         ps = PointSet([(0, 0), (1, 0), (1.05, 1.05), (0, 1)])
@@ -527,16 +598,64 @@ class TestMakeUnique:
             make_unique_delaunay(ps, bad, budget=1e-9)
 
 
+class TestOneFramePerCheck:
+    """Each check builds the half-edges of its triangulation once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = tri_module._edge_quads
+
+        def counting(tris):
+            calls.append(len(tris))
+            return original(tris)
+
+        monkeypatch.setattr(tri_module, "_edge_quads", counting)
+        return calls
+
+    def test_validity(self, builds):
+        ps = random_points(200, seed=3)
+        t = delaunay(ps)
+        builds.clear()
+        assert is_valid_delaunay(ps, t).valid
+        assert builds == [len(t)]
+
+    def test_stability_trials(self, builds):
+        ps = random_points(200, seed=3)
+        t = delaunay(ps)
+        builds.clear()
+        trials = _StabilityTrials(ps, t)
+        assert builds == [len(t)]
+        assert trials.stable(1e-12, trials=5, seed=0)
+        assert trials.rebuilt == 0 and builds == [len(t)]
+
+    @pytest.mark.parametrize("kind", ["unique", "three-circle60"])
+    def test_certified_make_unique(self, kind, builds):
+        # Unique: the certificate returns ps at once.  Three-circle: it
+        # refuses the emitted points and accepts the first moved ones.
+        if kind == "unique":
+            ps = random_points(200, seed=3)
+            t = delaunay(ps)
+        else:
+            out = FLIPPED["three-circle60"]()
+            ps, t = out.points, out.triangulation
+        builds.clear()
+        moved = make_unique_delaunay(ps, t, budget=1e-6)
+        assert (moved is ps) == (kind == "unique")
+        assert builds == [len(t)]
+
+
 class TestDelaunayCertificate:
     @pytest.mark.parametrize(
-        "coords",
-        [SQUARE, GRID4, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)]],
+        "coords, tied",
+        [(SQUARE, True), (GRID4, True), ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)], False)],
         ids=["square", "grid4", "collinear-hull"],
     )
-    def test_exact_zero_is_undecided(self, coords):
+    def test_exact_zero_is_undecided(self, coords, tied):
+        # The collinear hull leaves the verdict open with no tied edge.
         ps = PointSet(coords)
         target = _target_arrays(delaunay(ps), len(ps))
-        assert _delaunay_certificate(ps.coords, target) == 0
+        assert _delaunay_certificate(ps.coords, target) == (0, tied)
 
     @pytest.mark.parametrize("reason", list(BAD_QHULL))
     def test_non_tilings_are_refused(self, reason):
@@ -544,7 +663,7 @@ class TestDelaunayCertificate:
         points, simplices = BAD_QHULL[reason]
         ps = PointSet(points)
         t = Triangulation(simplices)
-        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == -1
+        assert _delaunay_certificate(ps.coords, _target_arrays(t, len(ps))) == (-1, False)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -575,7 +694,7 @@ class TestDelaunayCertificate:
         span = float(np.ptp(ps.coords, axis=0).max())
         rel = data.draw(st.sampled_from([0.0] + [10.0**-k for k in range(1, 15)]))
         moved = perturb(ps, rel * span, seed=data.draw(st.integers(0, 2**32 - 1)))
-        verdict = _delaunay_certificate(moved.coords, _target_arrays(target, len(ps)))
+        verdict, _ = _delaunay_certificate(moved.coords, _target_arrays(target, len(ps)))
         if kind == "cw":
             assert verdict == -1
         if verdict:

@@ -38,9 +38,10 @@ from delaunay_dilation.triangulation import (
     PointSet,
     Triangulation,
     ValidityReport,
+    _delaunay_certificate,
     _exact_scan,
-    _has_exact_cocircularity,
     _structural_check,
+    _target_arrays,
     delaunay,
     is_valid_delaunay,
     perturb,
@@ -231,7 +232,8 @@ def test_eps0_violations_are_exactly_the_positive_pairs(pts, picks):
         for e, (t1, *rest) in owners.items()
         for t2 in rest
     )
-    assert _has_exact_cocircularity(ps, t) == tied
+    ccw = Triangulation(_structural_check(ps, t)[0])
+    assert _delaunay_certificate(ps.coords, _target_arrays(ccw, len(ps)))[1] == tied
 
 
 def _rational_oracle_inputs(rng):
@@ -331,7 +333,7 @@ def _dense_report(ps, t, eps):
     if eps > 0:
         with np.errstate(all="ignore"):
             return band_is_valid_delaunay(ps, t, eps)
-    tris = _structural_check(ps, t)
+    tris, _ = _structural_check(ps, t)
     scan = _exact_scan(ps.coords, tris, ExactIncircle(ps.coords, tris),
                        dict(candidates=0, filter=0))
     violations = [v for ti, pi, m in scan for v in zip(ti.tolist(), pi.tolist(), m.tolist())]
