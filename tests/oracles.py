@@ -171,12 +171,17 @@ def exhaustive_max_dilation(pts, edges):
     return top, witness
 
 
+# Source rows per block of dense_max_dilation: 128 * n entries per array.
+_DENSE_ROWS = 128
+
+
 def dense_max_dilation(pts, edges, include_pairs=False):
     """Witness pair and optional pair table from the dense n x n reduction.
 
-    The original implementation: an undirected all-pairs Dijkstra, dense
-    Euclidean and ratio arrays over the upper triangle, and the first
-    maximum in row-major order.  Assumes a connected graph.
+    The original implementation, run over blocks of source rows so that it
+    never holds an n x n array: an undirected Dijkstra from the block's
+    sources, the Euclidean distances and ratios over their pairs (i, j > i),
+    and the first maximum in row-major order.  Assumes a connected graph.
     """
     n = len(pts)
     coords = np.array(pts, dtype=np.float64)
@@ -186,16 +191,22 @@ def dense_max_dilation(pts, edges, include_pairs=False):
         rows += [u, v]
         cols += [v, u]
         vals += [w, w]
-    graph_d = dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
-    diff = coords[:, None, :] - coords[None, :, :]
-    euclid = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    iu, ju = np.triu_indices(n, k=1)
-    ratios = graph_d[iu, ju] / euclid[iu, ju]
-    best = int(np.argmax(ratios))
-    pairs = None
-    if include_pairs:
-        pairs = tuple((int(i), int(j), float(r)) for i, j, r in zip(iu, ju, ratios))
-    return (int(iu[best]), int(ju[best])), pairs
+    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    best, witness = -math.inf, None
+    pairs = [] if include_pairs else None
+    for lo in range(0, n - 1, _DENSE_ROWS):
+        src = np.arange(lo, min(lo + _DENSE_ROWS, n - 1))
+        graph_d = dijkstra(graph, directed=False, indices=src)
+        diff = coords[src, None, :] - coords[None, :, :]
+        euclid = np.hypot(diff[:, :, 0], diff[:, :, 1])
+        r, ju = np.nonzero(np.arange(n) > src[:, None])
+        ratios = graph_d[r, ju] / euclid[r, ju]
+        at = int(np.argmax(ratios))
+        if ratios[at] > best:  # a later equal ratio is not the first maximum
+            best, witness = ratios[at], (int(src[r[at]]), int(ju[at]))
+        if include_pairs:
+            pairs += zip(src[r].tolist(), ju.tolist(), ratios.tolist())
+    return witness, None if pairs is None else tuple(pairs)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -148,6 +149,20 @@ class TestDilation:
         ppath, tpath = write_double_cover(tmp_path)
         assert main(["dilation", str(ppath), "--triangulation", str(tpath)]) == 2
         assert "max dilation" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [510, 1015])
+    def test_huge_coordinates_run_clean(self, k, tmp_path, capsys):
+        # The squared differences of these coordinates overflow.
+        rng = random.Random(k)
+        base = rng.sample([(x, y) for x in range(64) for y in range(64)], 300)
+        ppath = tmp_path / "points.json"
+        ppath.write_text(points_to_json(
+            PointSet([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in base])
+        ))
+        assert main(["dilation", str(ppath)]) == 0
+        out, err = capsys.readouterr()
+        assert "max dilation: " in out
+        assert err == ""
 
     def test_collinear_points_domain_error(self, tmp_path):
         ppath = tmp_path / "collinear.json"

@@ -4,6 +4,8 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from delaunay_dilation.dilation import (
     _landmark_bounds,
     _landmarks,
     _path_length,
+    _round_up,
     graph_from_triangulation,
     max_dilation,
     pair_dilation,
@@ -269,6 +272,11 @@ def uniform_graph(n):
     return graph_from_triangulation(ps, delaunay(ps))
 
 
+def scaled_graph(g, k):
+    """g with every coordinate times 2**k: the same edges, exactly scaled."""
+    return EuclideanGraph(PointSet(np.ldexp(g.points.coords, k)), g.edge_array)
+
+
 class TestStreamedMatchesDense:
     """Streaming over source blocks changes no bit of the report."""
 
@@ -283,6 +291,12 @@ class TestStreamedMatchesDense:
             ),
             # Sizes around the 256-row block boundary.
             *[lambda n=n: uniform_graph(n) for n in (3, 255, 256, 257, 513)],
+            # Blocks hold 64 rows up to n = 1024 and 2**16 // n rows above:
+            # 63 at n = 1025, where the 64 landmarks take two blocks.
+            *[lambda n=n: uniform_graph(n) for n in (1024, 1025)],
+            # Far from 1 the stored rows' scale leaves the normal range of the
+            # bounds (2**-520, 2**500) or is folded into them (2**-400, 2**400).
+            *[lambda k=k: scaled_graph(uniform_graph(300), k) for k in (-520, -400, 400, 500)],
             # Every ratio is exactly 1.0, so every block ties with the first.
             lambda: EuclideanGraph(
                 points=PointSet([(k, 0) for k in range(600)]),
@@ -291,7 +305,9 @@ class TestStreamedMatchesDense:
         ],
         ids=["chew16", "chew64", "three-circle-30",
              "uniform3", "uniform255", "uniform256", "uniform257", "uniform513",
-             "collinear-path-600"],
+             "uniform1024", "uniform1025",
+             "uniform300x2**-520", "uniform300x2**-400", "uniform300x2**400",
+             "uniform300x2**500", "collinear-path-600"],
     )
     def test_bit_identical(self, build):
         g = build()
@@ -348,14 +364,15 @@ class TestPrunedMatchesOracles:
         # Integer coordinates make every difference exact under an integer
         # translation, and a power-of-two scale multiplies every rounded
         # distance, sum and square exactly, so every ratio stays the same.
-        # Scales near 2**-540 and 2**480 push squares out of the normal range.
+        # Scales near 2**-540 and 2**480 push squares out of the normal range,
+        # and from 2**505 on the squares of the differences overflow.
         rng = random.Random(23)
         for _ in range(6):
             n = rng.randrange(50, 400)
             base = rng.sample([(x, y) for x in range(64) for y in range(64)], n)
             ps = PointSet(base)
             rep = max_dilation(graph_from_triangulation(ps, delaunay(ps)))
-            for lo, hi in ((-60, 60), (-560, -520), (470, 490)):
+            for lo, hi in ((-60, 60), (-560, -520), (470, 490), (505, 521), (1000, 1001)):
                 k = rng.randrange(lo, hi)
                 tx, ty = rng.randrange(-2**20, 2**20), rng.randrange(-2**20, 2**20)
                 moved = PointSet(
@@ -394,17 +411,18 @@ class TestPrunedMatchesOracles:
         n = len(g.points)
         x, y = g.points.coords.T
         full = dijkstra(g._csr, directed=True)
-        land = full[_landmarks(g.points.coords, n // 16)]
+        e = row_scale(g)
+        land = _round_up(full[_landmarks(g.points.coords, n // 16)], e)
         i, j = np.triu_indices(n, k=1)
         ratios = full[i, j] / np.hypot(x[i] - x[j], y[i] - y[j])
         for floor in np.quantile(ratios, [0.0, 0.5, 0.9, 0.99, 1.0], method="lower"):
-            top, limit, refined, kept = _landmark_bounds(land, x, y, floor)
+            top, limit, refined, kept = _landmark_bounds(land, e, x, y, floor)
             assert (ratios <= top[i]).all()
             reach = ratios >= floor
             assert (full[i, j][reach] <= limit[i[reach]]).all()
             # The refinement takes the least over landmarks that include the
             # nearest one, so it never loosens a bound.
-            near_top, near_limit, near_kept = nearest_landmark_bounds(land, x, y, floor)
+            near_top, near_limit, near_kept = nearest_landmark_bounds(land, e, x, y, floor)
             assert (top <= near_top).all()
             assert (limit <= near_limit).all()
             assert kept <= refined == near_kept
@@ -419,12 +437,13 @@ class TestPrunedMatchesOracles:
         m = re.fullmatch(
             r"max_dilation n=1000: (\d+) landmarks, (\d+) sources run, (\d+) skipped, "
             r"(\d+) pairs pruned, (\d+) pairs refined, (\d+) kept after refinement, "
-            r"(\d+) nodes settled",
+            r"(\d+) nodes settled, (\d+) bytes of landmark rows",
             lines[0],
         )
         assert m, lines[0]
-        landmarks, run, skipped, pruned, refined, kept, settled = map(int, m.groups())
+        landmarks, run, skipped, pruned, refined, kept, settled, stored = map(int, m.groups())
         assert landmarks == 1000 // 16
+        assert stored == landmarks * 1000 * 4  # float32
         assert 0 < pruned < 1000 * 999 // 2
         assert run + skipped + landmarks == 999  # vertex 999 is never a source
         assert landmarks * 1000 <= settled < 300_000
@@ -438,7 +457,8 @@ class TestPrunedMatchesOracles:
             (row[t > k] / np.hypot(x[k] - x[t > k], y[k] - y[t > k])).max()
             for k, row in zip(marks, land)
         )
-        first_pass = nearest_landmark_bounds(land, x, y, floor)[2]
+        e = row_scale(g)
+        first_pass = nearest_landmark_bounds(_round_up(land, e), e, x, y, floor)[2]
         assert 0 < kept < refined <= first_pass
 
 
@@ -479,24 +499,31 @@ def bound_shape(shape):
     return uniform_graph(n)
 
 
-def nearest_landmark_bounds(land, x, y, floor):
+def row_scale(g):
+    """The exponent by which max_dilation scales its stored landmark rows."""
+    return math.frexp(g._csr.data.max())[1]
+
+
+def nearest_landmark_bounds(land, e, x, y, floor):
     """Top, limit and kept-pair count of the nearest-landmark bound alone.
 
-    Dense over all pairs, with the float operations of the first pass of
+    land holds the stored rows (``_round_up`` by 2**e).  Dense over all
+    pairs, with the float operations of the first pass of
     ``_landmark_bounds`` in the same order, so the values are bit-identical.
     """
     n = land.shape[1]
     near = land.argmin(axis=0)
     s, t = np.triu_indices(n, k=1)
-    num = land[near[s], t] + land[near[s], s]
+    num = np.add(land[near[s], t], land[near[s], s], dtype=np.float64)
     dx, dy = x[s] - x[t], y[s] - y[t]
     ub = num * num / (dx * dx + dy * dy)
-    keep = ub >= (floor / (1 + _SLACK)) ** 2
+    keep = ub >= np.ldexp(np.square(floor / (1 + _SLACK)), -2 * e)
     top = np.full(n - 1, -np.inf)
     np.maximum.at(top, s, ub)
     limit = np.zeros(n - 1)
     np.maximum.at(limit, s[keep], num[keep])
-    return np.sqrt(top) * (1 + _SLACK), limit * (1 + _SLACK), int(keep.sum())
+    return (np.ldexp(np.sqrt(top) * (1 + _SLACK), e), np.ldexp(limit * (1 + _SLACK), e),
+            int(keep.sum()))
 
 
 def small_connected_graph(draw):
@@ -532,3 +559,49 @@ def test_max_dilation_memory_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
+
+
+def test_max_dilation_memory_below_half_a_dense_matrix():
+    # The landmark rows are n * n / 16 float32 entries, a quarter of this.
+    n = 4000
+    g = uniform_graph(n)
+    tracemalloc.start()
+    try:
+        max_dilation(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 2
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+row_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022),  # float64 subnormals
+    st.floats(min_value=2.0**-1010, max_value=2.0**-990),
+    st.floats(min_value=2.0**990, max_value=2.0**1010),
+    st.floats(min_value=0.0, max_value=FLOAT32_MAX, width=32),  # exact in float32
+    st.floats(min_value=0.0, max_value=1e6),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(row_values, min_size=1, max_size=30), st.integers(-1073, 1024))
+def test_round_up_store(values, e):
+    rows = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = _round_up(rows, e)
+    assert stored.dtype == np.float32 and stored.shape == rows.shape
+    for r, v in zip(stored.tolist(), values):
+        if math.isinf(v) or math.isinf(r):
+            assert r == math.inf
+            continue
+        assert Fraction(r) * Fraction(2) ** e >= Fraction(v)
+        scaled = Fraction(v) / Fraction(2) ** e
+        if 2.0**-126 <= scaled <= FLOAT32_MAX:
+            # The least float32 at or above the scaled value: one ulp at most.
+            below = float(np.nextafter(np.float32(r), np.float32(0)))
+            assert Fraction(below) < scaled <= Fraction(r)
