@@ -2,7 +2,7 @@
 
 ``max_dilation`` is exact over all pairs but runs a full Dijkstra only from
 a few landmarks; every other source runs a Dijkstra bounded by a distance
-limit, or not at all.  It works in three steps, each over blocks of
+limit, or not at all.  It works in three steps, over blocks of
 ``_block_rows(n)`` rows: about ``_BLOCK_ENTRIES`` entries, 64 rows up to
 n = 1024 and never fewer than 8.
 
@@ -13,27 +13,45 @@ n = 1024 and never fewer than 8.
    give exact ratios, and their maximum is a lower bound ``t*`` on the
    answer.  Each block is folded into the answer in float64 and then
    stored as float32, rounded up (see "Storage" below).
-2. Landmark bounds.  For a pair ``(s, t > s)`` and any landmark k the
-   triangle inequality gives ``d(s, t) <= d(k, s) + d(k, t)`` (the ALT
-   bound of Goldberg and Harrelson, SODA 2005), so
-   ``(d(k, s) + d(k, t)) / |st|`` bounds its ratio from stored rows.  A
-   pair whose bound, raised by the relative slack ``_SLACK``, is below
-   ``t*`` cannot reach the maximum.  A first pass bounds every pair through
-   the landmark nearest to s (by stored distance).  The pairs it keeps, a
-   few percent, are refined: their sum becomes the least over that landmark
-   and the ``_REFINE`` landmarks nearest to s and to t, and they are tested
-   again.  The source keeps the largest bound over its pairs and a distance
-   limit: the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept
-   pairs.  Besides the stored rows and the ``_REFINE * n`` nearest-landmark
-   indices, the bounds need a few blocks of float64.
+2. Landmark bounds.  For a pair ``(s, t)`` and any landmark k the triangle
+   inequality gives ``d(s, t) <= d(k, s) + d(k, t)`` (the ALT bound of
+   Goldberg and Harrelson, SODA 2005), so ``(d(k, s) + d(k, t)) / |st|``
+   bounds its ratio from stored rows.  A pair whose bound, raised by the
+   relative slack ``_SLACK``, is below ``t*`` cannot reach the maximum.
+   The vertices are grouped by their nearest landmark (by stored distance),
+   the groups taken in landmark order and cut into chunks of a block.  The
+   first pass bounds each unordered pair once, from the chunk of the end
+   that comes first, through that chunk's landmark.  Before it, a group
+   test drops a target for a whole chunk at once: the chunk's largest
+   distance to its landmark and the target's distance to the chunk's
+   bounding box give a bound for all its pairs with that target.  Each
+   term of that bound is the same float operation as a pair's on larger
+   or smaller operands, and rounding is monotone, so it drops only pairs
+   the first pass would drop.  The pairs the first pass keeps, a few
+   percent, are refined over the ``_REFINE`` landmarks nearest to each
+   end, nearest first, and dropped as soon as the least sum falls below
+   ``t*``.  A kept pair belongs to its smaller index s: the limit of s is
+   the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept pairs.
+   The kept pairs themselves are stored as keys ``s * n + t`` (int32 up to
+   n = 46340), sorted by source once the landmark rows are freed.
 3. Bounded rows.  The sources with a kept pair are sorted by their limit
-   and run in chunks of a block with ``dijkstra(limit=...)`` set to the
-   chunk's largest limit: sources with similar limits share a chunk, so one
-   limit serves them all.  Before each chunk, the sources whose largest
-   bound has fallen below the best ratio found so far are dropped.
+   and run in chunks with ``dijkstra(limit=...)`` set to the chunk's
+   largest limit: sources with similar limits share a chunk, so one limit
+   serves them all.  Before each chunk, the sources whose largest bound
+   has fallen below the best ratio found so far are dropped.  A chunk has
+   ``_CHUNK_ROWS`` rows, and each row is folded at its source's kept pairs
+   only.  Without kept pairs (nothing pruned, or the pairs overran their
+   budget, below) a chunk is a block, and its rows are folded whole.
 
 So the working memory is the stored rows, ``n * n / 16`` float32 entries,
-and a few blocks besides; only ``include_pairs`` holds more.
+the kept pairs and a few blocks besides; only ``include_pairs`` holds
+more.  The kept pairs get at most a quarter of the bytes of the stored
+rows (or ``_BLOCK_ENTRIES`` keys, if that is more); past that budget they
+are dropped, so however many pairs are kept they add no more than that.
+A chunk of bounded rows folded at kept pairs is ``_CHUNK_ROWS * n``
+float64 entries, more than a block above n = 1024 and 8 blocks from
+n = 8192: 2 MB at n = 4000 against 4 MB of stored rows, and 33 MB at
+n = 64000 against 1 GB.
 
 Storage.  The bounds need only *upper* bounds on the landmark distances.
 A stored entry is the float32 cast of the distance times ``2**-e``, moved
@@ -56,9 +74,9 @@ exact sum (u = 2**-53; Higham, "Accuracy and Stability of Numerical
 Algorithms", section 4).  So a computed ``d(s, t)`` exceeds the computed
 ``d(k, s) + d(k, t)`` by a relative 3n * u at most.  The bounds are
 compared squared, which adds a few more u while the squares stay in the
-normal float range; a block of sources where they might not keeps every
-pair, and so does every block when the scaled floor or the scaled bounds
-might leave it.  ``_SLACK`` covers all of that while
+normal float range; a pair whose squares might not is kept with an
+infinite bound, and so is every pair when the scaled floor or the scaled
+bounds might leave it.  ``_SLACK`` covers all of that while
 ``n * 2**-52 <= _SLACK / 4``, that is up to about a million vertices;
 beyond that nothing is pruned.
 
@@ -115,6 +133,8 @@ _LANDMARK_SPACING = 16
 # Entries per block of rows (landmark rows, bounds and bounded Dijkstra
 # chunks), within 8 to 64 rows; see _block_rows.
 _BLOCK_ENTRIES = 2**16
+# Rows per chunk of bounded Dijkstra rows folded at their kept pairs.
+_CHUNK_ROWS = 64
 # Landmarks nearest to each end that refine the bound of a pair kept by the
 # nearest landmark of its source.
 _REFINE = 4
@@ -241,9 +261,12 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     the report carries every ``(i, j, ratio)`` with ``i < j``, in row-major
     order.
     """
+    from time import perf_counter
+
     n = len(g.points)
     if n < 2:
         raise GeometryError("need at least 2 vertices")
+    started = perf_counter()
     coords = g.points.coords
     x, y = coords.T
     marks = _landmarks(coords, max(1, n // _LANDMARK_SPACING))
@@ -264,37 +287,56 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
         reduced += count
         land[lo:lo + block] = _round_up(graph_d, e)
     settled, stored = land.size, land.nbytes
+    landmarks_done = perf_counter()
     # The last vertex has no partner j > i, so it is never a source.
     todo = np.ones(n - 1, dtype=bool)
     todo[marks[marks < n - 1]] = False
     if include_pairs or n * 2.0**-52 > _SLACK / 4:
         top = limit = np.full(n - 1, np.inf)
-        refined = kept = 0
+        kept, counts = None, (0, 0, 0)
     else:
-        top, limit, refined, kept = _landmark_bounds(land, e, x, y, best[0])
+        top, limit, kept, counts = _landmark_bounds(land, e, x, y, best[0])
     del land
+    if kept is not None:
+        # Sorted only now, in the room the landmark rows took.
+        kept = _KeptPairs(n, kept)
+    bounds_done = perf_counter()
     sources = np.flatnonzero(todo & (top >= best[0]))
     sources = sources[np.argsort(limit[sources], kind="stable")]
     run = 0
-    for lo in range(0, len(sources), block):
-        chunk = sources[lo:lo + block]
+    debug = log.isEnabledFor(logging.DEBUG)
+    # Most entries of a bounded row stay inf and only kept pairs are read,
+    # so with kept pairs a chunk takes _CHUNK_ROWS rows at any n: fewer
+    # Dijkstra calls and folds.
+    step = block if kept is None else _CHUNK_ROWS
+    for lo in range(0, len(sources), step):
+        chunk = sources[lo:lo + step]
         chunk = chunk[top[chunk] >= best[0]]
         if not len(chunk):
             continue
         graph_d = _csgraph_dijkstra(
             g._csr, directed=True, indices=chunk, limit=limit[chunk].max()
         )
-        settled += int(np.count_nonzero(np.isfinite(graph_d)))
+        if debug:
+            settled += int(np.count_nonzero(np.isfinite(graph_d)))
         run += len(chunk)
-        best, count = _reduce(graph_d, chunk, x, y, best, rows)
+        if kept is None:
+            best, count = _reduce(graph_d, chunk, x, y, best, rows)
+        else:
+            best, count = kept.fold(graph_d, chunk, x, y, best)
         reduced += count
-    log.debug(
-        "max_dilation n=%d: %d landmarks, %d sources run, %d skipped, "
-        "%d pairs pruned, %d pairs refined, %d kept after refinement, "
-        "%d nodes settled, %d bytes of landmark rows",
-        n, len(marks), run, int(np.count_nonzero(todo)) - run,
-        n * (n - 1) // 2 - reduced, refined, kept, settled, stored,
-    )
+    if debug:
+        log.debug(
+            "max_dilation n=%d: %d landmarks, %d sources run, %d skipped, "
+            "%d pairs pruned, %d dropped by groups, %d pairs refined, "
+            "%d kept after refinement, %d nodes settled, "
+            "%d bytes of landmark rows, %.4f s landmark rows, %.4f s bounds, "
+            "%.4f s bounded rows",
+            n, len(marks), run, int(np.count_nonzero(todo)) - run,
+            n * (n - 1) // 2 - reduced, *counts, settled, stored,
+            landmarks_done - started, bounds_done - landmarks_done,
+            perf_counter() - bounds_done,
+        )
 
     _, wi, wj = best
     _, path = shortest_path(g, wi, wj)
@@ -312,15 +354,22 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     )
 
 
+@np.errstate(over="ignore")
 def _landmarks(coords: np.ndarray, m: int) -> np.ndarray:
     """m vertices in Euclidean farthest-point order, starting from vertex 0."""
-    far = np.full(len(coords), np.inf)
+    x, y = np.array(coords.T)
+    far = np.full(len(x), np.inf)
+    dx, dy = np.empty_like(x), np.empty_like(y)
     marks = np.empty(m, dtype=np.intp)
     k = 0
     for r in range(m):
         marks[r] = k
-        diff = coords - coords[k]
-        np.minimum(far, np.einsum("ij,ij->i", diff, diff), out=far)
+        np.subtract(x, x[k], out=dx)
+        dx *= dx
+        np.subtract(y, y[k], out=dy)
+        dy *= dy
+        dx += dy
+        np.minimum(far, dx, out=far)
         k = int(np.argmax(far))
     return marks
 
@@ -370,109 +419,288 @@ def _reduce(graph_d, src, x, y, best, rows):
         ends = np.cumsum(np.count_nonzero(ok, axis=1))[:-1]
         for source, row in zip(src.tolist(), np.split(ratios, ends)):
             rows[source] = row.tolist()
+    return _merge(best, ratios, i, j), len(ratios)
+
+
+def _merge(best, ratios, i, j):
+    """best and the pairs ``(i, j)`` with their ratios, as _reduce folds them."""
     if not len(ratios):
-        return best, 0
+        return best
     top = ratios.max()
     if top < best[0]:
-        return best, len(ratios)
+        return best
     at = np.flatnonzero(ratios == top)
     witness = min(zip(i[at].tolist(), j[at].tolist()))
     if top > best[0] or witness < best[1:]:
-        return (top, *witness), len(ratios)
-    return best, len(ratios)
+        return (top, *witness)
+    return best
 
 
-# Squares, bounds and the scaled floor may overflow to inf.  An infinite
-# bound keeps its pair, and the range tests send a block with an infinite
-# square, or a call with an infinite floor, to keep every pair.
-@np.errstate(over="ignore")
-def _landmark_bounds(land, e, x, y, floor):
-    """Per source s < n - 1: the largest bound and the Dijkstra limit.
+class _KeptPairs:
+    """The pairs ``(s, t > s)`` the bounds keep, sorted by source.
 
-    land holds the landmark rows, stored scaled by 2**-e and rounded up by
-    _round_up.  The bound of a pair ``(s, t > s)`` is
-    ``(1 + _SLACK) * (d(k, s) + d(k, t)) / |st|`` for a landmark k: first
-    the landmark nearest to s, and for the pairs whose bound reaches floor
-    the best of that one and the ``_REFINE`` landmarks nearest to s and to
-    t.  The limit is the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over
-    the pairs whose final bound reaches floor (0 if none does).  The sums
-    are float64 sums of the stored float32 values, and the scale is folded
-    into the squared floor ``cut`` and into the returned top and limit.
-    The bounds are compared squared, since np.hypot costs far more than a
-    product.  A block whose squares could leave the normal float range
-    keeps every pair with no limit, so underflow or overflow never prunes
-    one; so does every block when the scaled floor or the scaled bounds
-    could.  Also returns the number of pairs refined and the number of
-    those still kept.
+    The pairs come as keys ``s * n + t`` in chunks.
+    """
+
+    def __init__(self, n, chunks):
+        self.keys = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+        del chunks[:]  # frees them before the sort
+        self.keys.sort()
+        self.n = n
+        self.starts = np.searchsorted(
+            self.keys, np.arange(n + 1, dtype=self.keys.dtype) * n
+        )
+
+    def fold(self, graph_d, src, x, y, best):
+        """Fold the kept pairs of the sources src, with rows graph_d, into
+        best as _reduce does.
+        """
+        first, last = self.starts[src], self.starts[src + 1]
+        sizes = last - first
+        r = np.repeat(np.arange(len(src)), sizes)
+        at = np.arange(len(r)) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+        i = src[r]
+        j = self.keys[at] - i * self.n
+        ratios = graph_d[r, j]
+        # Every kept pair lies within its source's limit (see the module
+        # docstring); a pair beyond it would be inf, and _reduce skips those.
+        settled = np.isfinite(ratios)
+        if not settled.all():
+            ratios, i, j = ratios[settled], i[settled], j[settled]
+        ratios /= np.hypot(x[i] - x[j], y[i] - y[j])
+        return _merge(best, ratios, i, j), len(ratios)
+
+
+def _nearest_landmarks(land):
+    """The ``_REFINE`` nearest landmarks of each vertex, by stored distance
+    and then by landmark index: row 0 is each vertex's nearest landmark.
     """
     m, n = land.shape
-    top = np.full(n - 1, np.inf)
-    limit = np.full(n - 1, np.inf)
+    nears = np.empty((min(_REFINE, m), n), dtype=np.intp)
+    # Each taken landmark is set to inf in a copy of a slice of columns; a
+    # copy of all of land would double its memory.
+    for c in range(0, n, 256):
+        cols = land[:, c:c + 256].copy()
+        each = np.arange(cols.shape[1])
+        for row in nears[:, c:c + 256]:
+            row[:] = cols.argmin(axis=0)
+            cols[row, each] = np.inf
+    return nears
+
+
+def _bound_terms(e, floor):
+    """The squared, scaled floor ``cut`` and the range of the pair terms
+    that keeps the squared bounds normal; None if the floor or the scale
+    leaves no such range.
+    """
     cut = np.ldexp(np.square(floor / (1 + _SLACK)), -2 * e)
     # A bound is at least about 2**-2e, since d(s, t) >= |st|.
     if e > 484 or not np.isfinite(cut):
-        return top, limit, 0, 0
-    near = np.empty(n, dtype=np.intp)
-    nears = np.empty((min(_REFINE, m), n), dtype=np.intp)
-    # argmin over axis 0 would copy all of land; column slices copy little.
-    for c in range(0, n, 256):
-        cols = land[:, c:c + 256]
-        near[c:c + 256] = cols.argmin(axis=0)
-        part = np.argpartition(cols, len(nears) - 1, axis=0)
-        nears[:, c:c + 256] = part[:len(nears)]
-    from_near = land[near, np.arange(n)].astype(np.float64)
-    flat = land.ravel()  # a view: land is C-contiguous
-    block = _block_rows(n)
-    near_rows = np.empty((block, n))
-    buf = np.empty((2, block * (n - 1)))
-    below = np.tri(block, k=-1, dtype=bool)
+        return None
     # |st| <= d(k, s) + d(k, t) <= num * 2**e up to rounding, so with
     # e <= 484 these two keep |st|**2, num**2 and num**2 / |st|**2 normal.
     shift = max(e, 0)
-    lo_sq, hi_num = 2.0 ** (2 * shift - 969), 2.0 ** (484 - shift)
-    refined = kept = 0
-    for lo in range(0, n - 1, block):
-        hi = min(lo + block, n - 1)
-        b = hi - lo
-        # Row r is source lo + r and column c is target lo + 1 + c, so the
-        # entries with t <= s are those below[r, c] (c < r).
-        no_pair = below[:b, :b]
-        num = near_rows[:b, lo + 1:]
-        np.add(land[near[lo:hi], lo + 1:], from_near[lo:hi, None], out=num)
-        sq, ub = (a[:num.size].reshape(num.shape) for a in buf)
-        np.subtract(x[lo:hi, None], x[lo + 1:], out=sq)
-        sq *= sq
-        np.subtract(y[lo:hi, None], y[lo + 1:], out=ub)
-        ub *= ub
-        sq += ub
-        sq[:, :b][no_pair] = 1.0
-        if not (sq.min() >= lo_sq and num.max() <= hi_num):
-            continue
-        np.multiply(num, num, out=ub)
-        ub /= sq
-        ub[:, :b][no_pair] = -np.inf
-        # Refine the pairs the nearest landmark keeps: every landmark's
-        # sum bounds d(s, t) by the same argument, so take the least.
-        r, c = np.nonzero(ub >= cut)
-        s, t = r + lo, c + lo + 1
-        sums = num[r, c]
-        for row in nears:
-            for k in (row[s], row[t]):
-                k *= n
-                np.minimum(sums, np.add(flat[k + s], flat[k + t], dtype=np.float64),
+    return cut, 2.0 ** (2 * shift - 969), 2.0 ** (484 - shift)
+
+
+def _group_pass(land, near, x, y, cut, lo_sq, hi_num):
+    """Chunks of sources and the targets the group test keeps for them.
+
+    The vertices are ordered by (nearest landmark, index), and each group of
+    a landmark is cut into chunks of at most ``_block_rows(n)``.  A pair is
+    bounded from the chunk of its earlier end, through that chunk's
+    landmark k; within one chunk the later end is the larger index.  For
+    each chunk, yields k, its sources, the vertices from the chunk on (its
+    own sources first), and which of those the group test drops.
+
+    The group test bounds the first-pass bound ``num**2 / sq`` of every
+    source s at a target t at once.  ``reach + d(k, t)`` is at least each
+    ``num = d(k, s) + d(k, t)``, reach the chunk's largest ``d(k, s)``.  The
+    gaps of t to the chunk's bounding box are at most its differences to
+    each s, so the squared box distance is at most each ``sq``.  Each term
+    is the same float operation as the pair's on larger or smaller
+    operands, and float rounding is monotone, so a target whose group bound
+    is below cut, with the terms in range, has every pair's bound below cut
+    and in range: the per-pair test would drop each pair.
+    """
+    n = land.shape[1]
+    order = np.argsort(near, kind="stable")
+    heads = np.flatnonzero(np.diff(near[order])) + 1
+    block = _block_rows(n)
+    starts = [p for lo, hi in zip([0, *heads], [*heads, n]) for p in range(lo, hi, block)]
+    ends = [*starts[1:], n]
+    marks = near[order[starts]]
+    xs, ys = x[order], y[order]
+    x0, x1 = np.minimum.reduceat(xs, starts)[:, None], np.maximum.reduceat(xs, starts)[:, None]
+    y0, y1 = np.minimum.reduceat(ys, starts)[:, None], np.maximum.reduceat(ys, starts)[:, None]
+    reach = np.maximum.reduceat(land[near[order], order], starts).astype(np.float64)[:, None]
+    # Several chunks share one pass over the targets from the first one on.
+    c = 0
+    while c < len(starts):
+        lo = starts[c]
+        b = max(1, min(block, _BLOCK_ENTRIES // 4 // (n - lo), len(starts) - c))
+        part = slice(c, c + b)
+        num = land[marks[part, None], order[lo:]].astype(np.float64)
+        num += reach[part]
+        gap = xs[lo:] - x1[part]
+        np.maximum(gap, x0[part] - xs[lo:], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        gy = ys[lo:] - y1[part]
+        np.maximum(gy, y0[part] - ys[lo:], out=gy)
+        np.maximum(gy, 0.0, out=gy)
+        gy *= gy
+        gap += gy
+        bound = np.multiply(num, num, out=gy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound /= gap
+        far = bound < cut
+        far &= gap >= lo_sq
+        far &= num <= hi_num
+        for r in range(b):
+            first, last = starts[c + r], ends[c + r]
+            yield marks[c + r], order[first:last], order[first:], far[r, first - lo:]
+        c += b
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _first_pass(row, sources, targets, own, x, y, cut, lo_sq, hi_num):
+    """The first-pass bounds of the pairs of a chunk's sources with
+    targets, through the chunk's landmark, whose row of land is row.
+
+    The first own targets are the chunk's sources, and a source pairs only
+    with those after it.  Returns the pairs whose bound reaches cut, as
+    ``(s, t, num, sq)``, and those whose terms leave the normal range as a
+    (2, k) array, or None if there are none.
+    """
+    # Row r pairs source r with targets[c]; among the own targets, a pair
+    # counts where c > r.
+    no_pair = np.tri(own, dtype=bool)
+    at_t, at_s = row[targets].astype(np.float64), row[sources].astype(np.float64)
+    num = at_t + at_s[:, None]
+    sq = np.subtract(x[sources, None], x[targets])
+    sq *= sq
+    dy = np.subtract(y[sources, None], y[targets])
+    dy *= dy
+    sq += dy
+    sq[:, :own][no_pair] = 1.0
+    ub = np.multiply(num, num, out=dy)
+    ub /= sq
+    ub[:, :own][no_pair] = -np.inf
+    hit = np.flatnonzero(ub >= cut)
+    wild = None
+    # Rounding is monotone, so the largest sum is that of the largest terms.
+    if not (sq.min() >= lo_sq and at_t.max() + at_s.max() <= hi_num):
+        out = (sq < lo_sq) | (num > hi_num)
+        out[:, :own][no_pair] = False
+        wr, wc = np.nonzero(out)
+        wild = np.stack([sources[wr], targets[wc]])
+        hit = hit[~out.ravel()[hit]]
+    r, c = np.divmod(hit, len(targets))
+    return (sources[r], targets[c], num.ravel().take(hit), sq.ravel().take(hit)), wild
+
+
+# Squares, bounds and the scaled floor may overflow to inf.  An infinite
+# bound keeps its pair, and the range tests keep every pair whose squares
+# might leave the normal range, or every pair when the floor might.
+@np.errstate(over="ignore")
+def _landmark_bounds(land, e, x, y, floor):
+    """Per source s < n - 1: the largest bound, the Dijkstra limit and the
+    kept pairs.
+
+    land holds the landmark rows, stored scaled by 2**-e and rounded up by
+    _round_up.  The bound of a pair is ``(1 + _SLACK) * (d(k, s) + d(k, t))
+    / |st|`` for a landmark k.  The first pass takes the landmark of the
+    pair's chunk (see _group_pass); the pairs whose bound reaches floor are
+    refined over the ``_REFINE`` landmarks nearest to each end, one
+    landmark at a time, and dropped as soon as the least sum falls below
+    floor.  A kept pair belongs to its smaller index s: the limit of s is
+    the largest ``(1 + _SLACK) * (d(k, s) + d(k, t))`` over its kept pairs
+    (0 if none), and its top is the largest bound over them, or the largest
+    float below floor if that is more (every dropped pair has a computed
+    ratio below floor).  The sums are float64 sums of the stored float32
+    values, and the scale is folded into the squared floor ``cut`` and into
+    the returned top and limit.  The bounds are compared squared, since
+    np.hypot costs far more than a product.  A pair whose squares could
+    leave the normal float range is kept with an infinite bound and limit,
+    so underflow or overflow never prunes one; so is every pair when the
+    scaled floor or the scaled bounds could.
+
+    The kept pairs come back as chunks of keys ``s * n + t``, or None when
+    they overrun a budget of a quarter of the bytes of land (or
+    ``_BLOCK_ENTRIES`` keys, if that is more) or nothing is pruned; the
+    bounded rows are then folded whole.  Also returns the counts of pairs
+    dropped by the group test, refined and kept after refinement.
+    """
+    m, n = land.shape
+    terms = _bound_terms(e, floor)
+    if terms is None:
+        return np.full(n - 1, np.inf), np.full(n - 1, np.inf), None, (0, 0, 0)
+    cut, lo_sq, hi_num = terms
+    nears = _nearest_landmarks(land)
+    flat = land.ravel()  # a view: land is C-contiguous
+    top_sq, limit = np.zeros(n - 1), np.zeros(n - 1)
+    key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    room = max(land.nbytes // 4 // np.dtype(key_type).itemsize, _BLOCK_ENTRIES)
+    chunks: list | None = []
+    grouped = refined = kept = 0
+
+    def keep(s, t, sums, bound):
+        nonlocal room, chunks
+        np.maximum.at(limit, s, sums)
+        np.maximum.at(top_sq, s, bound)
+        if chunks is not None and len(s) <= room:
+            chunks.append((s * n + t).astype(key_type))
+            room -= len(s)
+        else:
+            # Past the budget every bounded row is folded whole.
+            chunks = None
+
+    def refine(batch):
+        nonlocal kept
+        s, t, sums, sq = (np.concatenate(part) for part in zip(*batch))
+        batch.clear()
+        # Every landmark's sum bounds d(s, t) by the same argument, so take
+        # the least, rank by rank; the first pass took s's nearest.
+        for rank, row in enumerate(offsets):
+            for k in [row.take(t)] if rank == 0 else [row.take(s), row.take(t)]:
+                np.minimum(sums, np.add(flat.take(k + s), flat.take(k + t), dtype=np.float64),
                            out=sums)
-        ub[r, c] = bound = sums * sums / sq[r, c]
-        keep = bound >= cut
-        refined += len(keep)
-        kept += int(np.count_nonzero(keep))
-        # Only refined pairs can still reach floor.
-        limit[lo:hi] = 0.0
-        np.maximum.at(limit, s[keep], sums[keep])
-        top[lo:hi] = ub.max(axis=1)
-    np.sqrt(top, out=top)
+            bound = sums * sums
+            bound /= sq
+            stay = np.flatnonzero(bound >= cut)
+            if len(stay) < len(sums):
+                s, t, sums, sq, bound = (a.take(stay) for a in (s, t, sums, sq, bound))
+        kept += len(sums)
+        keep(np.minimum(s, t), np.maximum(s, t), sums, bound)
+
+    offsets = nears * n  # of the landmarks' rows in flat
+    batch, queued = [], 0
+    for k, sources, targets, far in _group_pass(land, nears[0], x, y, cut, lo_sq, hi_num):
+        grouped += len(sources) * int(np.count_nonzero(far))
+        targets = targets[~far]
+        # The chunk's own sources lead the targets; slices of about a
+        # quarter block bound the working memory.
+        step = _BLOCK_ENTRIES // 4 // len(sources)
+        for lo in range(0, len(targets), step):
+            pairs, wild = _first_pass(land[k], sources, targets[lo:lo + step],
+                                      len(sources) if lo == 0 else 0, x, y, cut, lo_sq, hi_num)
+            if wild is not None:
+                inf = np.full(len(wild[0]), np.inf)
+                keep(wild.min(axis=0), wild.max(axis=0), inf, inf)
+            refined += len(pairs[0])
+            batch.append(pairs)
+            queued += len(pairs[0])
+            if queued >= _BLOCK_ENTRIES // 4:
+                refine(batch)
+                queued = 0
+    if queued:
+        refine(batch)
+    top = np.sqrt(top_sq)
     top *= 1 + _SLACK
     limit *= 1 + _SLACK
-    return np.ldexp(top, e), np.ldexp(limit, e), refined, kept
+    top = np.maximum(np.ldexp(top, e), np.nextafter(floor, -np.inf))
+    return top, np.ldexp(limit, e), chunks, (grouped, refined, kept)
 
 
 def _path_length(coords: np.ndarray, path) -> float:

@@ -22,11 +22,16 @@ from delaunay_dilation.constructions import (
     generate_two_semicircle,
 )
 from delaunay_dilation.dilation import (
+    _BLOCK_ENTRIES,
     _SLACK,
     DilationReport,
     EuclideanGraph,
+    _block_rows,
+    _bound_terms,
+    _group_pass,
     _landmark_bounds,
     _landmarks,
+    _nearest_landmarks,
     _path_length,
     _round_up,
     graph_from_triangulation,
@@ -416,16 +421,60 @@ class TestPrunedMatchesOracles:
         i, j = np.triu_indices(n, k=1)
         ratios = full[i, j] / np.hypot(x[i] - x[j], y[i] - y[j])
         for floor in np.quantile(ratios, [0.0, 0.5, 0.9, 0.99, 1.0], method="lower"):
-            top, limit, refined, kept = _landmark_bounds(land, e, x, y, floor)
+            top, limit, chunks, (grouped, refined, kept) = _landmark_bounds(
+                land, e, x, y, floor
+            )
             assert (ratios <= top[i]).all()
             reach = ratios >= floor
             assert (full[i, j][reach] <= limit[i[reach]]).all()
+            # Every pair that reaches floor is folded: it is among the kept
+            # ones, or there are none and every row folds whole.
+            if chunks is not None:
+                keys = np.concatenate([np.empty(0, np.int64), *chunks])
+                assert np.isin(i * n + j, keys)[reach].all()
             # The refinement takes the least over landmarks that include the
-            # nearest one, so it never loosens a bound.
+            # first pass's, so it never loosens a bound.  A source with no
+            # kept pair gets the largest float below floor.
             near_top, near_limit, near_kept = nearest_landmark_bounds(land, e, x, y, floor)
-            assert (top <= near_top).all()
+            assert (top <= np.maximum(near_top, np.nextafter(floor, -np.inf))).all()
             assert (limit <= near_limit).all()
             assert kept <= refined == near_kept
+            assert grouped == group_dropped_pairs(land, e, x, y, floor)
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["uniform", "grid", "line", "integer-line", "chew64", "convex120",
+         "three-circle-20", "mixture", "convex600", "uniform1500"],
+    )
+    def test_group_test_drops_only_pairs_the_first_pass_drops(self, shape):
+        # Checked densely: every pair comes from exactly one chunk, and no
+        # pair the group test drops has a first-pass bound of cut or more.
+        g = bound_shape(shape)
+        n = len(g.points)
+        x, y = g.points.coords.T
+        full = dijkstra(g._csr, directed=True)
+        e = row_scale(g)
+        land = _round_up(full[_landmarks(g.points.coords, n // 16)], e)
+        i, j = np.triu_indices(n, k=1)
+        ratios = full[i, j] / np.hypot(x[i] - x[j], y[i] - y[j])
+        for floor in np.quantile(ratios, [0.0, 0.5, 0.9, 0.99, 1.0], method="lower"):
+            cut, lo_sq, hi_num = _bound_terms(e, floor)
+            seen = np.zeros((n, n), dtype=int)
+            for k, sources, targets, far in _group_pass(
+                land, _nearest_landmarks(land)[0], x, y, cut, lo_sq, hi_num
+            ):
+                assert len(sources) <= _block_rows(n)
+                assert (targets[:len(sources)] == sources).all()
+                assert not far[:len(sources)].any()
+                s, t = sources[:, None], targets[None, :]
+                later = np.arange(len(targets)) >= np.arange(1, len(sources) + 1)[:, None]
+                np.add.at(seen, (np.minimum(s, t)[later], np.maximum(s, t)[later]), 1)
+                t = targets[far][None, :]
+                num = np.add(land[k, s], land[k, t], dtype=np.float64)
+                sq = (x[s] - x[t]) ** 2 + (y[s] - y[t]) ** 2
+                assert (num * num / sq < cut).all()
+                assert (sq >= lo_sq).all() and (num <= hi_num).all()
+            assert (seen[i, j] == 1).all() and seen.sum() == len(i)
 
     def test_debug_line_counts_the_pruning(self, caplog):
         g = uniform_graph(1000)
@@ -436,19 +485,25 @@ class TestPrunedMatchesOracles:
         assert len(lines) == 1
         m = re.fullmatch(
             r"max_dilation n=1000: (\d+) landmarks, (\d+) sources run, (\d+) skipped, "
-            r"(\d+) pairs pruned, (\d+) pairs refined, (\d+) kept after refinement, "
-            r"(\d+) nodes settled, (\d+) bytes of landmark rows",
+            r"(\d+) pairs pruned, (\d+) dropped by groups, (\d+) pairs refined, "
+            r"(\d+) kept after refinement, (\d+) nodes settled, "
+            r"(\d+) bytes of landmark rows, (\d+\.\d{4}) s landmark rows, "
+            r"(\d+\.\d{4}) s bounds, (\d+\.\d{4}) s bounded rows",
             lines[0],
         )
         assert m, lines[0]
-        landmarks, run, skipped, pruned, refined, kept, settled, stored = map(int, m.groups())
+        landmarks, run, skipped, pruned, grouped, refined, kept, settled, stored = map(
+            int, m.groups()[:9]
+        )
         assert landmarks == 1000 // 16
         assert stored == landmarks * 1000 * 4  # float32
         assert 0 < pruned < 1000 * 999 // 2
         assert run + skipped + landmarks == 999  # vertex 999 is never a source
         assert landmarks * 1000 <= settled < 300_000
-        # The first pass keeps the pairs whose nearest-landmark bound reaches
-        # the best ratio of the landmark rows; refinement drops most of them.
+        assert all(float(t) >= 0 for t in m.groups()[9:])
+        # The first pass keeps the pairs whose bound through the landmark of
+        # their earlier group reaches the best ratio of the landmark rows,
+        # less those the group test drops; refinement drops most of them.
         x, y = g.points.coords.T
         marks = _landmarks(g.points.coords, landmarks)
         land = dijkstra(g._csr, directed=True, indices=marks)
@@ -458,12 +513,80 @@ class TestPrunedMatchesOracles:
             for k, row in zip(marks, land)
         )
         e = row_scale(g)
-        first_pass = nearest_landmark_bounds(_round_up(land, e), e, x, y, floor)[2]
-        assert 0 < kept < refined <= first_pass
+        stored_rows = _round_up(land, e)
+        assert refined == nearest_landmark_bounds(stored_rows, e, x, y, floor)[2]
+        assert 0 < grouped == group_dropped_pairs(stored_rows, e, x, y, floor)
+        assert 0 < kept < refined
+
+    def test_debug_line_off_counts_nothing(self, caplog):
+        g = uniform_graph(300)
+        with caplog.at_level(logging.INFO, logger="delaunay_dilation.dilation"):
+            max_dilation(g)
+        assert not [r for r in caplog.records if r.name == "delaunay_dilation.dilation"]
+
+
+class TestKeptPairs:
+    """The bounds keep few pairs; the fold gathers just those."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: construction_graph(
+                generate_three_circle(ThreeCircleSpec(arc_density=20.0))
+            ),
+            lambda: construction_graph(
+                generate_three_circle(ThreeCircleSpec(arc_density=60.0))
+            ),
+            lambda: construction_graph(
+                generate_two_semicircle(TwoSemicircleSpec(d=0.29, alpha=1.0, n_arc=300))
+            ),
+            lambda: path_graph(1500),
+        ],
+        ids=["three-circle-20", "three-circle-60", "convex600", "path1500"],
+    )
+    def test_bit_identical_to_dense(self, build):
+        # The group test drops 8%, 80% and 86% of the pairs of the first
+        # three; on the path nearly every pair is kept.
+        g = build()
+        assert max_dilation(g) == dense_report(g, include_pairs=False)
+
+    def test_path_folds_rows_whole_past_the_budget(self):
+        g = path_graph(1500)
+        n = len(g.points)
+        x, y = g.points.coords.T
+        marks = _landmarks(g.points.coords, n // 16)
+        full = dijkstra(g._csr, directed=True, indices=marks)
+        e = row_scale(g)
+        land = _round_up(full, e)
+        t = np.arange(n)
+        floor = max(
+            (row[t > k] / np.hypot(x[k] - x[t > k], y[k] - y[t > k])).max()
+            for k, row in zip(marks, full)
+        )
+        _, _, chunks, (grouped, refined, kept) = _landmark_bounds(land, e, x, y, floor)
+        assert kept > 0.9 * n * (n - 1) / 2
+        # The budget: a quarter of land's bytes in int32 keys.
+        assert kept > max(land.nbytes // 4 // 4, _BLOCK_ENTRIES)
+        assert chunks is None
+
+
+def path_graph(n):
+    """A path through n points on a line, in shuffled index order: every
+    ratio is within rounding of 1, so the bounds keep nearly every pair."""
+    rng = random.Random(n)
+    xs = np.cumsum([1 + rng.random() for _ in range(n)]).tolist()
+    order = list(range(n))
+    rng.shuffle(order)
+    coords = [(0.0, 0.0)] * n
+    for rank, v in enumerate(order):
+        coords[v] = (xs[rank], 0.0)
+    return EuclideanGraph(points=PointSet(coords), edges=tuple(zip(order, order[1:])))
 
 
 def bound_shape(shape):
-    """A graph for the bound-cover property, 64 to 300 vertices."""
+    """A graph for the bound-cover property, 64 to 300 vertices (600 and
+    1500 for the two larger shapes, where the group test drops most pairs
+    at the top floor)."""
     rng = random.Random(shape)
     n = 300
     if shape in ("line", "integer-line"):
@@ -487,6 +610,12 @@ def bound_shape(shape):
         return construction_graph(
             generate_two_semicircle(TwoSemicircleSpec(d=0.29, alpha=1.0, n_arc=60))
         )
+    if shape == "convex600":
+        return construction_graph(
+            generate_two_semicircle(TwoSemicircleSpec(d=0.29, alpha=1.0, n_arc=300))
+        )
+    if shape == "uniform1500":
+        return uniform_graph(1500)
     if shape == "three-circle-20":
         return construction_graph(generate_three_circle(ThreeCircleSpec(arc_density=20.0)))
     if shape == "mixture":
@@ -504,17 +633,31 @@ def row_scale(g):
     return math.frexp(g._csr.data.max())[1]
 
 
-def nearest_landmark_bounds(land, e, x, y, floor):
-    """Top, limit and kept-pair count of the nearest-landmark bound alone.
+def first_pass_landmarks(land):
+    """The landmark through which the first pass bounds each pair (s, t > s).
 
-    land holds the stored rows (``_round_up`` by 2**e).  Dense over all
-    pairs, with the float operations of the first pass of
-    ``_landmark_bounds`` in the same order, so the values are bit-identical.
+    Vertices are ordered by (nearest landmark, index), and a pair is bounded
+    through the nearest landmark of its end that comes first.
     """
     n = land.shape[1]
     near = land.argmin(axis=0)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), near))] = np.arange(n)
     s, t = np.triu_indices(n, k=1)
-    num = np.add(land[near[s], t], land[near[s], s], dtype=np.float64)
+    return s, t, near[np.where(rank[s] < rank[t], s, t)]
+
+
+def nearest_landmark_bounds(land, e, x, y, floor):
+    """Top, limit and kept-pair count of the first pass alone.
+
+    land holds the stored rows (``_round_up`` by 2**e).  Dense over all
+    pairs, with the float operations of the first pass of
+    ``_landmark_bounds`` on the same operands, so the values are
+    bit-identical.
+    """
+    n = land.shape[1]
+    s, t, k = first_pass_landmarks(land)
+    num = np.add(land[k, t], land[k, s], dtype=np.float64)
     dx, dy = x[s] - x[t], y[s] - y[t]
     ub = num * num / (dx * dx + dy * dy)
     keep = ub >= np.ldexp(np.square(floor / (1 + _SLACK)), -2 * e)
@@ -524,6 +667,16 @@ def nearest_landmark_bounds(land, e, x, y, floor):
     np.maximum.at(limit, s[keep], num[keep])
     return (np.ldexp(np.sqrt(top) * (1 + _SLACK), e), np.ldexp(limit * (1 + _SLACK), e),
             int(keep.sum()))
+
+
+def group_dropped_pairs(land, e, x, y, floor):
+    """The number of pairs the group test of ``_group_pass`` drops."""
+    return sum(
+        len(sources) * int(far.sum())
+        for _, sources, _, far in _group_pass(
+            land, _nearest_landmarks(land)[0], x, y, *_bound_terms(e, floor)
+        )
+    )
 
 
 def small_connected_graph(draw):
@@ -572,6 +725,40 @@ def test_max_dilation_memory_below_half_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n / 2
+
+
+def test_max_dilation_memory_on_a_path_that_keeps_nearly_every_pair():
+    # The bounds keep nearly every pair, so most sources fold their rows
+    # whole past the budget of the kept pairs.  Folding every bounded row
+    # whole, with _reduce on the landmark rows too, peaked at 0.73 n * n.
+    n = 4000
+    g = path_graph(n)
+    tracemalloc.start()
+    try:
+        max_dilation(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n / 8
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["uniform", "grid", "line", "integer-line", "chew64", "convex120",
+     "three-circle-20", "mixture", "uniform4000"],
+)
+def test_landmarks_match_the_einsum_loop(shape):
+    coords = (uniform_graph(4000) if shape == "uniform4000" else bound_shape(shape)).points.coords
+    n, m = len(coords), len(coords) // 16
+    far = np.full(n, np.inf)
+    marks = []
+    k = 0
+    for _ in range(m):
+        marks.append(k)
+        diff = coords - coords[k]
+        np.minimum(far, np.einsum("ij,ij->i", diff, diff), out=far)
+        k = int(np.argmax(far))
+    assert _landmarks(coords, m).tolist() == marks
 
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)

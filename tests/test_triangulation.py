@@ -695,7 +695,10 @@ class TestDelaunayCertificate:
         rel = data.draw(st.sampled_from([0.0] + [10.0**-k for k in range(1, 15)]))
         moved = perturb(ps, rel * span, seed=data.draw(st.integers(0, 2**32 - 1)))
         verdict, _ = _delaunay_certificate(moved.coords, _target_arrays(target, len(ps)))
-        if kind == "cw":
+        # A large move can turn the reversed row ccw again (see
+        # test_a_large_move_can_turn_a_reversed_row_ccw); flat or cw, it
+        # rules the target out.
+        if kind == "cw" and orient_frac(*(tuple(moved.coords[v]) for v in tris[k])) <= 0:
             assert verdict == -1
         if verdict:
             try:
@@ -703,6 +706,21 @@ class TestDelaunayCertificate:
             except GeometryError:
                 rebuilt = None
             assert (verdict > 0) == (rebuilt == target.triangles)
+
+    def test_a_large_move_can_turn_a_reversed_row_ccw(self):
+        # Three random points with their one triangle reversed, moved by a
+        # tenth of their span: the reversed row is ccw in the moved points,
+        # and the certificate and the rebuild both accept it.
+        coords = [tuple(p) for p in np.random.default_rng(10).random((3, 2)).tolist()]
+        ps = PointSet(coords)
+        target = Triangulation([list(t)[::-1] for t in delaunay(ps).triangles])
+        span = float(np.ptp(ps.coords, axis=0).max())
+        moved = perturb(ps, 0.1 * span, seed=1)
+        (row,) = target.triangles
+        assert orient_frac(*(tuple(moved.coords[v]) for v in row)) > 0
+        verdict, _ = _delaunay_certificate(moved.coords, _target_arrays(target, len(ps)))
+        assert verdict == 1
+        assert delaunay(moved).triangles == target.triangles
 
 
 @st.composite
