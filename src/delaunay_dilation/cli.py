@@ -2,13 +2,15 @@
 
 Subcommands: construct, dilation, sweep, verify, random, plant.
 Exit codes: 0 success, 1 domain failure (invalid triangulation or an
---assert-bound not met), 2 usage or input errors.
+--assert-bound not met) or a stdout closed early, 2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -80,28 +82,32 @@ def _load_triangulation(path: str):
 # construct
 # --------------------------------------------------------------------------
 
-def _build_construction(args):
-    """(spec, generator) of args.kind; spec options left unset take the
-    spec's defaults."""
-    def given(*names):
-        return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+_GENERATORS = {
+    "chew": (cons.ChewSpec, cons.generate_chew),
+    "convex": (cons.TwoSemicircleSpec, cons.generate_two_semicircle),
+    "three-circle": (cons.ThreeCircleSpec, cons.generate_three_circle),
+}
 
+
+def _construction(kind: str, options: dict, unknown: str, invalid: str):
+    """(spec, generator) of kind.  The spec takes the options that name its
+    fields and are not None; the others keep its defaults.  The usage errors
+    read "unknown <unknown> 'kind'" and "invalid <kind> <invalid>: ..."."""
+    if kind not in _GENERATORS:
+        raise _UsageError(f"unknown {unknown} {kind!r}")
+    spec_type, generate = _GENERATORS[kind]
+    names = {f.name for f in dataclasses.fields(spec_type)}
+    given = {k: v for k, v in options.items() if k in names and v is not None}
     # The specs check their parameters, so a bad one is an input error.
     try:
-        if args.kind == "chew":
-            return cons.ChewSpec(n=args.n), cons.generate_chew
-        if args.kind == "convex":
-            n_arc = args.n_arc if args.n_arc else max(5, args.points // 2)
-            spec = cons.TwoSemicircleSpec(n_arc=n_arc, **given("d", "alpha"))
-            return spec, cons.generate_two_semicircle
-        if args.kind == "three-circle":
-            spec = cons.ThreeCircleSpec(
-                **given("d", "r", "theta", "beta", "g", "arc_density", "shield_margin")
-            )
-            return spec, cons.generate_three_circle
+        return spec_type(**given), generate
     except GeometryError as e:
-        raise _UsageError(f"invalid {args.kind} parameters: {e}") from e
-    raise _UsageError(f"unknown construction kind {args.kind!r}")
+        raise _UsageError(f"invalid {kind} {invalid}: {e}") from e
+
+
+def _build_construction(args):
+    options = {**vars(args), "n_arc": args.n_arc or max(5, args.points // 2)}
+    return _construction(args.kind, options, "construction kind", "parameters")
 
 
 def _guide_circles(spec) -> list[tuple[float, float, float]]:
@@ -271,20 +277,13 @@ def _cmd_random(args) -> int:
 
 
 def _planted_config(kind: str, args) -> PointSet:
-    # The specs check their parameters, so a bad one is an input error.
-    try:
-        if kind == "chew":
-            spec, generate = cons.ChewSpec(n=args.config_n), cons.generate_chew
-        elif kind == "convex":
-            spec = cons.TwoSemicircleSpec(n_arc=max(5, args.config_n // 2))
-            generate = cons.generate_two_semicircle
-        elif kind == "three-circle":
-            spec = cons.ThreeCircleSpec(arc_density=60.0)
-            generate = cons.generate_three_circle
-        else:
-            raise _UsageError(f"unknown config kind {kind!r}")
-    except GeometryError as e:
-        raise _UsageError(f"invalid {kind} configuration: {e}") from e
+    if kind == "chew":
+        options = {"n": args.config_n}
+    elif kind == "convex":
+        options = {"n_arc": max(5, args.config_n // 2)}
+    else:
+        options = {"arc_density": 60.0}
+    spec, generate = _construction(kind, options, "config kind", "configuration")
     out = generate(spec)
     coords = make_unique_delaunay(out.points, out.triangulation, budget=1e-6).coords
     low = coords.min(axis=0)
@@ -400,6 +399,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    try:
+        return args.func(args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (_DomainFailure, GeometryError) as e:
+        print(f"failure: {e}", file=sys.stderr)
+        return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -409,16 +419,14 @@ def main(argv=None) -> int:
         if not 0 <= args.d_min <= args.d_max:
             parser.error("need 0 <= --d-min <= --d-max")
     try:
-        return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _DomainFailure as e:
-        print(f"failure: {e}", file=sys.stderr)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head``).  Point it at
+        # devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except GeometryError as e:
-        print(f"failure: {e}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

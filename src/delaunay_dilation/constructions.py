@@ -22,7 +22,11 @@ the legal Delaunay completions of its cocircular groups:
 
 All ladders are produced by one funnel sweep: points merge by boundary
 distance from the marked vertex and each step emits a triangle against the
-current frontier chord.
+current frontier chord.  The two- and three-circle families share one
+layout, ``_mirrored_arcs``: a left unit arc sampled from its mark, its
+mirror image through the origin, and a strip ladder between them, with a
+checked funnel on each arc.  The two-semicircle middle rectangle is a strip
+with no points of its own; the three-circle strip holds the big-circle arcs.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .geom import (
     GeometryError,
     Point2,
     dist,
-    tangent_points,
 )
 from .triangulation import PointSet, Triangulation, _turn_ccw, delaunay
 
@@ -308,6 +311,58 @@ def _linspace(a: float, b: float, n_intervals: int) -> list[float]:
     return vals
 
 
+def _mirrored_arcs(d, mark, end, k_top, k_bot, strip, joined, extra=()):
+    """Two unit arcs mirrored through the origin, and a strip between them.
+
+    The left arc (centre (-d/2, 0), angle t off the negative x-axis, t > 0
+    above it) runs from t = mark to t = end in k_top steps and to t = -end
+    in k_bot steps.  strip is a (top, bottom) pair of point lists in
+    ascending x.  Points are numbered p, left top, left bottom, q, right
+    top, right bottom, strip top, strip bottom, extra; a repeated point
+    keeps its first index.
+
+    Returns the point set, the pair (p, q), the vertex sets of the left
+    arc, right arc and strip, and their triangles: a checked funnel on each
+    arc and a ladder across the strip keyed by x, which when joined runs
+    between the arcs' ends and counts them in the strip family.
+    """
+    coords: list[tuple[float, float]] = []
+    index_of: dict[tuple[float, float], int] = {}
+
+    def add(x: float, y: float) -> int:
+        if (x, y) not in index_of:
+            index_of[(x, y)] = len(coords)
+            coords.append((x, y))
+        return index_of[(x, y)]
+
+    top_t = _linspace(mark, end, k_top)[1:]
+    bot_t = _linspace(mark, -end, k_bot)[1:]
+    left = [(-d / 2.0 - math.cos(t), math.sin(t)) for t in [mark] + top_t + bot_t]
+    keys = [t - mark for t in top_t] + [mark - t for t in bot_t]
+
+    arcs, funnels = [], []
+    for sign in (1.0, -1.0):
+        ids = [add(sign * x, sign * y) for x, y in left]
+        chains = list(zip(ids[1:], keys))
+        funnels += _funnel(ids[0], chains[:k_top], chains[k_top:], check_rungs=True)
+        arcs.append(ids)
+    sides = [[(add(x, y), x) for x, y in side] for side in strip]
+    for s in extra:
+        add(s.x, s.y)
+
+    families = [set(arcs[0]), set(arcs[1]), {i for side in sides for i, _ in side}]
+    if joined:
+        # The top row ends at the left arc's top end and at the mirror of
+        # its bottom end; the bottom row the other way round.
+        rows = zip(sides, (arcs[0][k_top], arcs[0][-1]), (arcs[1][-1], arcs[1][k_top]))
+        for side, a, b in rows:
+            inner = [e for e in side if e[0] not in (a, b)]
+            side[:] = [(a, coords[a][0]), *inner, (b, coords[b][0])]
+            families[2] |= {a, b}
+    pair = (arcs[0][0], arcs[1][0])
+    return PointSet(coords), pair, families, funnels + _ladder(*sides)[0]
+
+
 # --------------------------------------------------------------------------
 # Chew's circle construction
 # --------------------------------------------------------------------------
@@ -352,53 +407,18 @@ def generate_two_semicircle(spec: TwoSemicircleSpec) -> ConstructionOutput:
     """Convex-position construction on two unit semicircles.
 
     Each semicircle is sampled anchored at its marked point and carries a
-    funnel ladder; the middle rectangle is closed with the diagonal that
-    leaves the marked crossing path at its nominal length.
+    funnel ladder; the middle rectangle (a strip with no points) takes the
+    diagonal that leaves the marked crossing path at its nominal length.
     """
-    d, alpha, n_arc = spec.d, spec.alpha, spec.n_arc
+    d, alpha = spec.d, spec.alpha
     half_pi = math.pi / 2.0
-    m = n_arc - 1
-    n_top, n_bot = _split_intervals(m, (half_pi - alpha) / math.pi)
-
-    # Left semicircle, parameterized by the angle t off the negative x-axis
-    # (t > 0 above the axis).  The mark sits exactly at t = alpha.
-    top_t = _linspace(alpha, half_pi, n_top)[1:]
-    bot_t = _linspace(alpha, -half_pi, n_bot)[1:]
-
-    def left_point(t: float) -> Point2:
-        return Point2(-d / 2.0 - math.cos(t), math.sin(t))
-
-    pts: list[Point2] = [left_point(alpha)]
-    pts += [left_point(t) for t in top_t]
-    pts += [left_point(t) for t in bot_t]
-    left_count = len(pts)
-    pts += [Point2(-p.x, -p.y) for p in pts[:left_count]]
-
-    p_idx = 0
-    q_idx = left_count
-    top_chain = [(1 + j, top_t[j] - alpha) for j in range(n_top)]
-    bot_chain = [(1 + n_top + j, alpha - bot_t[j]) for j in range(n_bot)]
-    right_top = [(q_idx + i, k) for i, k in top_chain]
-    right_bot = [(q_idx + i, k) for i, k in bot_chain]
-
-    tris = _funnel(p_idx, top_chain, bot_chain, check_rungs=True)
-    tris += _funnel(q_idx, right_top, right_bot, check_rungs=True)
-
-    e_ltop = n_top                  # (-d/2, 1)
-    e_lbot = n_top + n_bot          # (-d/2, -1)
-    e_rbot = q_idx + n_top          # (d/2, -1)
-    e_rtop = q_idx + n_top + n_bot  # (d/2, 1)
-    tris += _ladder(
-        [(e_ltop, -d / 2.0), (e_rtop, d / 2.0)],
-        [(e_lbot, -d / 2.0), (e_rbot, d / 2.0)],
-    )[0]
-
-    ps = PointSet(tuple(pts))
+    n_top, n_bot = _split_intervals(spec.n_arc - 1, (half_pi - alpha) / math.pi)
+    ps, (p, q), _, tris = _mirrored_arcs(d, alpha, half_pi, n_top, n_bot, ([], []), True)
     return ConstructionOutput(
         points=ps,
         triangulation=Triangulation(_turn_ccw(ps.coords, tris)[0]),
-        p=p_idx,
-        q=q_idx,
+        p=p,
+        q=q,
         predicted_dilation=closed_form_t(d, alpha)[1],
     )
 
@@ -497,15 +517,12 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
     boundary route and the cheapest crossing route balance.
     """
     d, r = spec.d, spec.r
-    c_left = Point2(-d / 2.0, 0.0)
-    big = Circle(Point2(0.0, 0.0), r)
 
     xj = (1.0 - r * r - d * d / 4.0) / d
     yj_sq = r * r - xj * xj
     if yj_sq <= 0 or abs(xj + d / 2.0) >= 1.0:
         raise GeometryError("the unit circles do not intersect the big circle")
     yj = math.sqrt(yj_sq)
-    junction = Point2(xj, yj)
 
     theta_j = math.acos(-(xj + d / 2.0))   # junction angle off the -x axis
     psi_j = math.atan2(yj, xj)             # junction angle seen from center
@@ -524,98 +541,39 @@ def generate_three_circle(spec: ThreeCircleSpec) -> ConstructionOutput:
     k_bot = max(1, round(density * (theta_eff + phi)))
     m_big = max(2, round(density * 2.0 * beta_eff * r))
 
-    def left_point(t: float) -> Point2:
-        return Point2(-d / 2.0 - math.cos(t), math.sin(t))
-
-    coords: list[Point2] = []
-    index_of: dict[tuple[float, float], int] = {}
-
-    def add(p: Point2) -> int:
-        key = (p.x, p.y)
-        if key in index_of:
-            return index_of[key]
-        index_of[key] = len(coords)
-        coords.append(p)
-        return index_of[key]
-
-    p_idx = add(left_point(phi))
-    top_t = _linspace(phi, theta_eff, k_top)[1:]
-    bot_t = _linspace(phi, -theta_eff, k_bot)[1:]
-    left_top = [(add(left_point(t)), t - phi) for t in top_t]
-    left_bot = [(add(left_point(t)), phi - t) for t in bot_t]
-    left_ids = {p_idx} | {i for i, _ in left_top} | {i for i, _ in left_bot}
-
-    q_idx = add(Point2(-coords[p_idx].x, -coords[p_idx].y))
-    right_top = [
-        (add(Point2(-coords[i].x, -coords[i].y)), k) for i, k in left_top
-    ]
-    right_bot = [
-        (add(Point2(-coords[i].x, -coords[i].y)), k) for i, k in left_bot
-    ]
-    right_ids = {q_idx} | {i for i, _ in right_top} | {i for i, _ in right_bot}
-
     # Big-circle arcs, left-to-right (descending angle on top).
-    psi_vals = _linspace(math.pi / 2.0 + beta_eff, math.pi / 2.0 - beta_eff, m_big - 1)
-    big_top = [
-        (add(Point2(r * math.cos(a), r * math.sin(a))), r * math.cos(a))
-        for a in psi_vals
-    ]
-    big_bot = [
-        (add(Point2(r * math.cos(a), -r * math.sin(a))), r * math.cos(a))
-        for a in psi_vals
-    ]
-    big_ids = {i for i, _ in big_top} | {i for i, _ in big_bot}
-
-    c_right = Point2(d / 2.0, 0.0)
+    big = [(r * math.cos(a), r * math.sin(a))
+           for a in _linspace(math.pi / 2.0 + beta_eff, math.pi / 2.0 - beta_eff, m_big - 1)]
+    circle = Circle(Point2(0.0, 0.0), r)
     shields = [
-        shield_position(c_left, Point2(xj, yj), big, spec.shield_margin),
-        shield_position(c_left, Point2(xj, -yj), big, spec.shield_margin),
-        shield_position(c_right, Point2(-xj, yj), big, spec.shield_margin),
-        shield_position(c_right, Point2(-xj, -yj), big, spec.shield_margin),
+        shield_position(Point2(sx * -d / 2.0, 0.0), Point2(sx * xj, sy * yj), circle,
+                        spec.shield_margin)
+        for sx in (1.0, -1.0) for sy in (1.0, -1.0)
     ]
-    for s in shields:
-        add(s)
-
-    ps = PointSet(tuple(coords))
-    built = delaunay(ps)
-
     # The junction samples lie on the big circle as well, so when the unit
     # arcs reach them they join the big circle's cocircular family and the
     # strip polygon runs junction to junction.
-    strip_top = list(big_top)
-    strip_bot = list(big_bot)
-    big_family = set(big_ids)
-    if theta_eff == theta_j:
-        tl, bl = left_top[-1][0], left_bot[-1][0]
-        tr, br = right_bot[-1][0], right_top[-1][0]
-        big_family |= {tl, bl, tr, br}
-        if strip_top[0][0] != tl:
-            strip_top.insert(0, (tl, coords[tl].x))
-        if strip_top[-1][0] != tr:
-            strip_top.append((tr, coords[tr].x))
-        if strip_bot[0][0] != bl:
-            strip_bot.insert(0, (bl, coords[bl].x))
-        if strip_bot[-1][0] != br:
-            strip_bot.append((br, coords[br].x))
+    ps, (p, q), families, ladders = _mirrored_arcs(
+        d, phi, theta_eff, k_top, k_bot, (big, [(x, -y) for x, y in big]),
+        theta_eff == theta_j, shields,
+    )
 
     # Replace each circle's cocircular block with its route-preserving ladder.
+    built = delaunay(ps)
     block = np.zeros(len(built), dtype=bool)
-    for ids in (left_ids, right_ids, big_family):
+    for ids in families:
         block |= np.isin(built.array, list(ids)).all(axis=1)
-    tris = built.array[~block].tolist()
-    tris += _funnel(p_idx, left_top, left_bot, check_rungs=True)
-    tris += _funnel(q_idx, right_top, right_bot, check_rungs=True)
-    tris += _ladder(strip_top, strip_bot)[0]
+    tris = built.array[~block].tolist() + ladders
 
     # Boundary route: unit arc to the junction, gap hop, big arc, and mirror.
-    hop = dist(coords[left_top[-1][0]], coords[big_top[0][0]])
+    hop = dist(Point2(-d / 2.0 - math.cos(theta_eff), math.sin(theta_eff)), Point2(*big[0]))
     route = 2.0 * (theta_eff + hop + r * beta_eff)
-    ell = dist(coords[p_idx], coords[q_idx])
+    ell = dist(ps[p], ps[q])
 
     return ConstructionOutput(
         points=ps,
         triangulation=Triangulation(_turn_ccw(ps.coords, tris)[0]),
-        p=p_idx,
-        q=q_idx,
+        p=p,
+        q=q,
         predicted_dilation=route / ell,
     )

@@ -429,8 +429,9 @@ def _merge(best, ratios, i, j):
     top = ratios.max()
     if top < best[0]:
         return best
-    at = np.flatnonzero(ratios == top)
-    witness = min(zip(i[at].tolist(), j[at].tolist()))
+    at = ratios == top
+    first = i[at].min()
+    witness = (int(first), int(j[at][i[at] == first].min()))
     if top > best[0] or witness < best[1:]:
         return (top, *witness)
     return best

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from delaunay_dilation.triangulation import (
 from test_builder import BAD_QHULL
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_square(tmp_path, tris=None):
@@ -264,6 +269,28 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--d-min", "0", "--d-max", "1", "--step", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_after_the_first_line(self, unbuffered):
+        # The 10,001 CSV rows overflow the pipe, so the writer is still
+        # writing when the reader closes it, as with `sweep ... | head -1`.
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, path)),
+            "PYTHONUNBUFFERED": unbuffered,
+        }
+        argv = ["sweep", "--d-min", "0", "--d-max", "1", "--step", "1e-4"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "delaunay_dilation", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"d,ell,t\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestVerify:

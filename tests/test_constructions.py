@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -356,3 +357,50 @@ class TestThreeCircle:
         rep = computed_dilation(out)
         assert rep.max_dilation == pytest.approx(out.predicted_dilation, abs=5e-6)
         assert rep.max_dilation < out.predicted_dilation
+
+
+def output_digest(out):
+    h = hashlib.sha256()
+    h.update(out.points.coords.tobytes())
+    h.update(out.triangulation.array.tobytes())
+    h.update(f"{out.p} {out.q} {out.predicted_dilation.hex()}".encode())
+    return h.hexdigest()
+
+
+# Digests of the generators' output (points, triangles, marked pair and
+# predicted dilation): the CLI's files hold these bytes, so any change to
+# them is a change of output.  g=0 with the default beta equals the default
+# output, since beta and not the gap ends the big arc; beta=3.0 lets the
+# big arc reach the junctions.  At d=2, r=1.5 two big-circle samples fall
+# exactly on the junction samples and are merged with them.
+PINNED = [
+    (TwoSemicircleSpec(alpha=0.5, n_arc=9),
+     "dda608d1f315674b1fcf64c011460867a56d8cb18f32fb06d2c3e9af79acee65"),
+    (TwoSemicircleSpec(alpha=0.5, n_arc=111),
+     "b4fc6eb1283286b639504cdfbe6165b2164291e61ad88a31c97fd799e7b3d84e"),
+    (TwoSemicircleSpec(alpha=1.0, n_arc=9),
+     "e104d6cee673e9fb8004f1cbfb9ef47b2f47a8b46068b45a5cdafaa71ed9e272"),
+    (TwoSemicircleSpec(alpha=1.0, n_arc=111),
+     "6205a98031970c5ac1914debaa2ee82f01c8905b38a3870afcc4efb45432dd29"),
+    (ThreeCircleSpec(g=0.0, beta=3.0, arc_density=20.0),
+     "7395bd746b3256cfcc1df747cc922c023515e1550f854eefe1c9af3955ecf3ed"),
+    (ThreeCircleSpec(g=0.0, beta=3.0, arc_density=60.0),
+     "7951741e706cfddcd0913c8e930880b5b0a0d4b9fc76d2ac66a9d7368d92898d"),
+    # theta below the junction angle: the strip does not reach the arcs.
+    (ThreeCircleSpec(theta=0.8, arc_density=20.0),
+     "9981efc62a1a87acaa7ac3d00d8687e84c9999a4e94c20576f7f2788ab8281f7"),
+    (ThreeCircleSpec(theta=0.8, arc_density=60.0),
+     "a8c99903e293f763edf91a0ef7636e0f84434df758a36977936a1638e6b569eb"),
+    (ThreeCircleSpec(arc_density=60.0),
+     "8dd002fa20e965d9b6908ae75fcb0183c13a2e369939d9bc601ea07f399da301"),
+    (ThreeCircleSpec(d=2.0, r=1.5, theta=2.0, beta=3.0, g=0.0, arc_density=20.0),
+     "c76e85c75d2a7dba08591afced6593a4013828e057d9a7036262bb421af40c5d"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED, ids=[repr(s) for s, _ in PINNED])
+def test_generators_are_byte_identical(spec, digest):
+    generate = (
+        generate_two_semicircle if isinstance(spec, TwoSemicircleSpec) else generate_three_circle
+    )
+    assert output_digest(generate(spec)) == digest

@@ -277,6 +277,11 @@ def uniform_graph(n):
     return graph_from_triangulation(ps, delaunay(ps))
 
 
+def shuffled_grid_graph(k):
+    ps = PointSet(random.Random(k).sample([(x, y) for x in range(k) for y in range(k)], k * k))
+    return graph_from_triangulation(ps, delaunay(ps))
+
+
 def scaled_graph(g, k):
     """g with every coordinate times 2**k: the same edges, exactly scaled."""
     return EuclideanGraph(PointSet(np.ldexp(g.points.coords, k)), g.edge_array)
@@ -307,12 +312,15 @@ class TestStreamedMatchesDense:
                 points=PointSet([(k, 0) for k in range(600)]),
                 edges=tuple((k, k + 1) for k in range(599)),
             ),
+            # The largest ratio ties over 861 pairs, and the least i among
+            # them does not come with the least j.
+            lambda: shuffled_grid_graph(30),
         ],
         ids=["chew16", "chew64", "three-circle-30",
              "uniform3", "uniform255", "uniform256", "uniform257", "uniform513",
              "uniform1024", "uniform1025",
              "uniform300x2**-520", "uniform300x2**-400", "uniform300x2**400",
-             "uniform300x2**500", "collinear-path-600"],
+             "uniform300x2**500", "collinear-path-600", "shuffled-grid-30"],
     )
     def test_bit_identical(self, build):
         g = build()
