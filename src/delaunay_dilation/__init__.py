@@ -1,6 +1,6 @@
 """Worst-case dilation of Delaunay triangulations: constructions and measurement."""
 
-from .geom import Circle, Point2, Sign, circumcircle, dist, incircle, orient2d, tangent_points
+from .geom import Circle, Point2, Sign, dist, incircle, orient2d, tangent_points
 from .triangulation import (
     PointSet,
     Triangulation,

@@ -106,7 +106,8 @@ def _construction(kind: str, options: dict, unknown: str, invalid: str):
 
 
 def _build_construction(args):
-    options = {**vars(args), "n_arc": args.n_arc or max(5, args.points // 2)}
+    n_arc = max(5, args.points // 2) if args.n_arc is None else args.n_arc
+    options = {**vars(args), "n_arc": n_arc}
     return _construction(args.kind, options, "construction kind", "parameters")
 
 

@@ -6,6 +6,16 @@ the well-conditioned cases, and the near-degenerate ones fall back to
 arbitrary-precision integer arithmetic.  Deliberately cocircular inputs are
 therefore classified correctly, which the circle constructions in this
 package rely on.
+
+This module is the only one that decides a predicate sign, and each
+predicate has one path: the batched float filter (``_filter_signs``) over
+rows of point indices, then one exact step on every row it leaves open.
+``_orientations`` takes that step on integers with one common power-of-two
+scale; ``_incircle_signs`` takes it with ``ExactIncircle``.  The scalar
+``orient2d`` and ``incircle`` run the same filter on one row, and their
+exact names, ``_orient2d_exact`` and ``_incircle_exact``, are one-row calls
+into the same exact steps.  ``_circumcircles_array`` is the package's one
+float circumcentre formula.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "CIRCUMCIRCLE_RTOL",
     "TANGENT_RTOL",
     "GeometryError",
     "CollinearPointsError",
@@ -31,13 +40,9 @@ __all__ = [
     "orient2d",
     "incircle",
     "ExactIncircle",
-    "circumcircle",
     "tangent_points",
 ]
 
-# Relative residual allowed between the three vertex distances and the
-# reported circumradius.
-CIRCUMCIRCLE_RTOL = 1e-12
 # Relative orthogonality tolerance for tangent points.
 TANGENT_RTOL = 1e-10
 
@@ -54,6 +59,9 @@ _INCIRCLE_UNDERFLOW = 2.0**-1068  # per unit of 1 + alift + blift + clift
 # ExactIncircle's reference-circle stage; its docstring derives both.
 _REFERENCE_BOUND = 16.0 * _EPS
 _REFERENCE_UNDERFLOW = 2.0**-1068  # per unit of 1 + S + |P_a| + ... + |P_d|
+# The errstate of float steps that may overflow or divide by zero on purpose;
+# each use stays inside one call or block, so it never reaches a caller.
+_IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 class GeometryError(ValueError):
@@ -137,9 +145,35 @@ def _orient2d_float(ax, ay, bx, by, cx, cy):
 
 
 def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> Sign:
-    ax, ay, bx, by, cx, cy = _as_scaled_ints([a.x, a.y, b.x, b.y, c.x, c.y])
+    """orient2d of one row, by the exact step of ``_orientations``."""
+    return Sign(int(_orient2d_ints(np.array([[[*a], [*b], [*c]]]))[0]))
+
+
+def _orient2d_ints(points: np.ndarray) -> np.ndarray:
+    """int8 orient2d signs of the rows (a, b, c) of an (m, 3, 2) float array,
+    exactly: one common power-of-two scale maps all its coordinates to
+    Python integers."""
+    ints = np.array(_as_scaled_ints(points.ravel().tolist()), dtype=object)
+    (ax, ay), (bx, by), (cx, cy) = ints.reshape(points.shape).transpose(1, 2, 0)
     det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-    return _sign(det)
+    return (det > 0).astype(np.int8) - (det < 0)
+
+
+def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
+    """Signs a float filter certifies over broadcast index arrays, else 0."""
+    with np.errstate(**_IGNORE):
+        det, bound = predicate_float(*(coords[i, k] for i in vertices for k in (0, 1)))
+        return np.where(np.abs(det) > bound, np.sign(det), 0.0).astype(np.int8)
+
+
+def _orientations(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """orient2d of each row of index triples: the float filter, then the
+    exact step on all the rows it leaves open at once."""
+    signs = _filter_signs(_orient2d_float, coords, *tris.T)
+    unsure = np.flatnonzero(signs == 0)
+    if unsure.size:
+        signs[unsure] = _orient2d_ints(coords[tris[unsure]])
+    return signs
 
 
 def incircle(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
@@ -193,21 +227,37 @@ def _incircle_float(ax, ay, bx, by, cx, cy, dx, dy):
 
 
 def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
-    ax, ay, bx, by, cx, cy, dx, dy = _as_scaled_ints(
-        [a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y]
-    )
-    adx = ax - dx
-    ady = ay - dy
-    bdx = bx - dx
-    bdy = by - dy
-    cdx = cx - dx
-    cdy = cy - dy
-    det = (
-        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-    )
-    return _sign(det)
+    """incircle of one row with ccw abc, by ``ExactIncircle``."""
+    rows = np.arange(4)[:, None]
+    return Sign(int(ExactIncircle([[*a], [*b], [*c], [*d]])._quad_signs(*rows)[0]))
+
+
+def _incircle_signs(coords: np.ndarray, u, v, w, x, exact=None) -> np.ndarray:
+    """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
+    then ``ExactIncircle`` (exact, if given) on the rows it cannot certify."""
+    signs = _filter_signs(_incircle_float, coords, u, v, w, x)
+    unsure = np.flatnonzero(signs == 0)
+    if unsure.size:
+        exact = ExactIncircle(coords) if exact is None else exact
+        signs[unsure] = exact._quad_signs(u[unsure], v[unsure], w[unsure], x[unsure])
+    return signs
+
+
+def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
+    """Float circumcentres and radii of the index triples tris; a flat or
+    float-flat triangle gets non-finite ones, without a warning."""
+    a = coords[tris[:, 0]]
+    b = coords[tris[:, 1]] - a
+    c = coords[tris[:, 2]] - a
+    with np.errstate(**_IGNORE):
+        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        b2 = (b * b).sum(axis=1)
+        c2 = (c * c).sum(axis=1)
+        ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
+        uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
+        centers = a + np.stack([ux, uy], axis=1)
+        radii = np.hypot(ux, uy)
+    return centers, radii
 
 
 class ExactIncircle:
@@ -346,13 +396,11 @@ class ExactIncircle:
         """int8 signs the reference circles certify, else 0; builds
         references by the class's cost rule."""
         signs = np.zeros(len(a), dtype=np.int8)
-        if self._unit is None:
-            return signs
         left = np.arange(len(a))
         for k in itertools.count():
             fresh = k == len(self._references)
             if fresh:
-                if self._owed + len(left) <= len(self._coords):
+                if self._owed + len(left) <= len(self._coords) or self._unit is None:
                     break
                 reference = self._power(a[left[0]], b[left[0]], c[left[0]])
                 if reference is None:
@@ -372,13 +420,7 @@ class ExactIncircle:
         """Every point's float power to the reference circle of triangle abc,
         or None if the float circumcentre is not finite or lies far out."""
         unit, g = self._unit
-        (ax, ay), (bx, by), (cx, cy) = unit[[a, b, c]].tolist()
-        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
-        den = 2.0 * (bx * cy - by * cx)
-        if den == 0.0:
-            return None
-        b2, c2 = bx * bx + by * by, cx * cx + cy * cy
-        centre = (ax + (cy * b2 - by * c2) / den, ay + (bx * c2 - cx * b2) / den)
+        centre = _circumcircles_array(unit, np.array([[a, b, c]]))[0][0].tolist()
         if not all(abs(v) < 2.0**60 for v in centre):  # also rejects inf and NaN
             return None
         x, y, _ = self._lifted
@@ -412,51 +454,6 @@ class ExactIncircle:
         bound += _REFERENCE_UNDERFLOW * (1.0 + s + pa + pb + pc + pd)
         sure = np.abs(det) > bound
         return np.where(sure, np.sign(det), 0.0).astype(np.int8), sure
-
-
-def circumcircle(a: Point2, b: Point2, c: Point2) -> Circle:
-    """Circle through three non-collinear points.
-
-    The three vertices lie on the result within CIRCUMCIRCLE_RTOL of the
-    radius; an exact rational solve backs up the floating-point path when
-    the triangle is badly conditioned.
-    """
-    if orient2d(a, b, c) is Sign.ZERO:
-        raise CollinearPointsError("collinear points have no circumcircle")
-
-    bx = b.x - a.x
-    by = b.y - a.y
-    cx = c.x - a.x
-    cy = c.y - a.y
-    den = 2.0 * (bx * cy - by * cx)
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    if den != 0.0:
-        ux = (cy * b2 - by * c2) / den
-        uy = (bx * c2 - cx * b2) / den
-        center = Point2(a.x + ux, a.y + uy)
-        radius = math.hypot(ux, uy)
-        if radius > 0 and _circum_residual(center, radius, a, b, c) <= CIRCUMCIRCLE_RTOL:
-            return Circle(center, radius)
-
-    # Exact rational fallback: solve the two bisector equations in ℚ.
-    from fractions import Fraction
-
-    fax, fay = Fraction(a.x), Fraction(a.y)
-    fbx, fby = Fraction(b.x) - fax, Fraction(b.y) - fay
-    fcx, fcy = Fraction(c.x) - fax, Fraction(c.y) - fay
-    fden = 2 * (fbx * fcy - fby * fcx)
-    fb2 = fbx * fbx + fby * fby
-    fc2 = fcx * fcx + fcy * fcy
-    fux = (fcy * fb2 - fby * fc2) / fden
-    fuy = (fbx * fc2 - fcx * fb2) / fden
-    center = Point2(float(fax + fux), float(fay + fuy))
-    radius = math.sqrt(float(fux * fux + fuy * fuy))
-    return Circle(center, radius)
-
-
-def _circum_residual(center: Point2, radius: float, *pts: Point2) -> float:
-    return max(abs(dist(center, p) - radius) for p in pts) / radius
 
 
 def tangent_points(s: Point2, c: Circle) -> tuple[Point2, Point2]:

@@ -11,6 +11,12 @@ collinear degeneracies are handled without tolerances.  Every flip lowers the
 lifted surface, so the rounds end.
 Exactly cocircular groups are re-triangulated to the lexicographically
 smallest completion, so the triangles are a pure function of the points.
+
+Every predicate sign here comes from ``geom``: its batched paths
+``_orientations`` and ``_incircle_signs`` (the float filter, then one exact
+step on the rows it leaves open), or ``_filter_signs`` and
+``ExactIncircle.signs`` where the validity scan splits the two.  The float
+circumcircles are ``geom._circumcircles_array``.
 """
 
 from __future__ import annotations
@@ -26,12 +32,15 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geom import (
+    _IGNORE,
     ExactIncircle,
     GeometryError,
     Point2,
+    _circumcircles_array,
+    _filter_signs,
     _incircle_float,
-    _orient2d_exact,
-    _orient2d_float,
+    _incircle_signs,
+    _orientations,
     orient2d,
 )
 
@@ -369,21 +378,6 @@ def _flip_rounds(coords: np.ndarray, tris: np.ndarray, quads):
     return tris, (u, v, w, twin), ties, {**counts, **exact.counts}
 
 
-def _filter_signs(predicate_float, coords: np.ndarray, *vertices) -> np.ndarray:
-    """Signs a float filter of ``geom`` certifies over broadcast index arrays, else 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        det, bound = predicate_float(*(coords[i, k] for i in vertices for k in (0, 1)))
-        return np.where(np.abs(det) > bound, np.sign(det), 0.0).astype(np.int8)
-
-
-def _orientations(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """orient2d of each row: the float filter, then the exact predicate."""
-    signs = _filter_signs(_orient2d_float, coords, *tris.T)
-    for k in np.flatnonzero(signs == 0).tolist():
-        signs[k] = _orient2d_exact(*(Point2(*coords[i].tolist()) for i in tris[k]))
-    return signs
-
-
 def _turn_ccw(coords: np.ndarray, tris) -> tuple[np.ndarray, np.ndarray]:
     """A copy of the index triples tris with every row whose orientation is
     not positive turned, (a, b, c) -> (a, c, b), and those orientations.
@@ -392,18 +386,6 @@ def _turn_ccw(coords: np.ndarray, tris) -> tuple[np.ndarray, np.ndarray]:
     signs = _orientations(coords, tris)
     tris[signs <= 0] = tris[signs <= 0][:, [0, 2, 1]]
     return tris, signs
-
-
-def _incircle_signs(coords: np.ndarray, u, v, w, x, exact=None) -> np.ndarray:
-    """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
-    then ``geom.ExactIncircle`` (exact, if given) on the rows it cannot
-    certify."""
-    signs = _filter_signs(_incircle_float, coords, u, v, w, x)
-    unsure = np.flatnonzero(signs == 0)
-    if unsure.size:
-        exact = ExactIncircle(coords) if exact is None else exact
-        signs[unsure] = exact._quad_signs(u[unsure], v[unsure], w[unsure], x[unsure])
-    return signs
 
 
 def _qhull_triangles(ps: PointSet, options: str | None) -> np.ndarray | None:
@@ -640,23 +622,6 @@ def _structural_check(ps: PointSet, t: Triangulation):
     return tris, frame
 
 
-def _circumcircles_array(coords: np.ndarray, tris: np.ndarray):
-    """Float circumcentres and radii; a flat or float-flat triangle gets
-    non-finite ones, without a warning."""
-    a = coords[tris[:, 0]]
-    b = coords[tris[:, 1]] - a
-    c = coords[tris[:, 2]] - a
-    with np.errstate(**_IGNORE):
-        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        b2 = (b * b).sum(axis=1)
-        c2 = (c * c).sum(axis=1)
-        ux = (c[:, 1] * b2 - b[:, 1] * c2) / den
-        uy = (b[:, 0] * c2 - c[:, 0] * b2) / den
-        centers = a + np.stack([ux, uy], axis=1)
-        radii = np.hypot(ux, uy)
-    return centers, radii
-
-
 # (triangle, point) pairs per block of the validity scan: the float filter's
 # temporaries and a block's exact decisions then take about a megabyte each.
 _PAIR_BLOCK = 2**13
@@ -666,9 +631,6 @@ _PAIR_BLOCK = 2**13
 _TREE_SLACK = 2.0**-40
 _TREE_RADII = (2.0**-400, 2.0**500)
 _TREE_COORDS = 2.0**500
-# The float scans may overflow or divide by zero; the errstate stays inside
-# each block, so it does not reach the caller between blocks.
-_IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _margins(coords, centers, radii, tri_idx, pt_idx) -> np.ndarray:

@@ -217,6 +217,7 @@ def test_malformed_document_exit_2(command, doc, tmp_path, capsys):
     "argv",
     [
         "plant --n-outside -5",
+        "construct convex --n-arc 0",
         "plant --config chew --config-n 7",
         "random --trials 0",
         "random --trials -2",

@@ -339,13 +339,17 @@ class TestThreeCircle:
         assert not (shields & set(rep.witness_path))
 
     def test_gap_variant_close_and_above_bound(self):
-        # The gap's split between arc and chord is length-neutral to ~1e-8,
-        # so g=0 cannot be told apart at sampling resolution; both variants
+        # At beta=3.0 the big arc's half-angle is capped by the gap,
+        # beta_j - g / r, so g shortens the arc and the two point sets differ
+        # (460 and 462 points).  The gap's split between arc and chord is
+        # length-neutral to ~1e-8, so the dilations stay close, and both
         # must clear the bound.
-        base = generate_three_circle(ThreeCircleSpec(arc_density=90.0))
-        flat = generate_three_circle(ThreeCircleSpec(arc_density=90.0, g=0.0))
+        base = generate_three_circle(ThreeCircleSpec(beta=3.0, arc_density=60.0))
+        flat = generate_three_circle(ThreeCircleSpec(beta=3.0, arc_density=60.0, g=0.0))
+        assert len(base.points) < len(flat.points)
         d_base = computed_dilation(base).max_dilation
         d_flat = computed_dilation(flat).max_dilation
+        assert d_base > math.pi / 2 and d_flat > math.pi / 2
         assert abs(d_base - d_flat) < 1e-5
 
     def test_non_intersecting_circles_rejected(self):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaunay_dilation.geom import (
-    CIRCUMCIRCLE_RTOL,
     TANGENT_RTOL,
     Circle,
     CollinearPointsError,
@@ -15,8 +14,9 @@ from delaunay_dilation.geom import (
     Point2,
     Sign,
     TangentPointError,
+    _circumcircles_array,
     _incircle_float,
-    circumcircle,
+    _orientations,
     dist,
     incircle,
     orient2d,
@@ -145,12 +145,22 @@ def test_incircle_exactness_where_products_underflow(scale):
 
 def test_orient2d_exactness_where_products_underflow():
     rng = random.Random(5)
+    triples = []
     for _ in range(2000):
         a = (rng.uniform(-1, 1) * 1e-160, rng.uniform(-1, 1) * 1e-160)
         b = (rng.uniform(-1, 1) * 1e-160, rng.uniform(-1, 1) * 1e-160)
         t = rng.random()
         c = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
         assert int(orient2d(P(*a), P(*b), P(*c))) == orient_frac(a, b, c)
+        triples.append((a, b, c))
+    # The batched path decides every row the filter leaves open in one call,
+    # on one common scale, here across magnitudes from 2**-1000 to 2**1000.
+    for s in (1.0, 2.0**-1000, 2.0**1000):
+        triples.append(((-s, -s), (s, 3 * s), (0.5 * s, 2 * s)))
+    coords = np.array(triples).reshape(-1, 2)
+    signs = _orientations(coords, np.arange(len(coords)).reshape(-1, 3))
+    assert (signs[-3:] == 0).all()
+    assert signs.tolist() == [orient_frac(*t) for t in triples]
 
 
 @pytest.mark.slow
@@ -158,51 +168,62 @@ def test_incircle_exactness_million():
     _run_incircle_vs_oracle(1_000_000, seed=991)
 
 
+def _circumcircles(*triples):
+    """Centres and radii of ``_circumcircles_array`` over the given triples."""
+    coords = np.array(triples, dtype=float).reshape(-1, 2)
+    return _circumcircles_array(coords, np.arange(len(coords)).reshape(-1, 3))
+
+
 class TestCircumcircle:
+    # Relative distance of each vertex from the float circle.
+    RTOL = 1e-12
+
+    def _assert_equidistant(self, triples):
+        centers, radii = _circumcircles(*triples)
+        for pts, c, r in zip(triples, centers, radii):
+            if not np.isfinite(r):
+                continue
+            for p in pts:
+                assert abs(math.dist(c, p) - r) <= self.RTOL * r
+
     def test_symmetric_unit(self):
-        c = circumcircle(P(1, 0), P(0, 1), P(-1, 0))
-        assert abs(c.center.x) < 1e-15 and abs(c.center.y) < 1e-15
-        assert abs(c.radius - 1.0) < 1e-15
+        centers, radii = _circumcircles(((1, 0), (0, 1), (-1, 0)))
+        assert abs(centers[0, 0]) < 1e-15 and abs(centers[0, 1]) < 1e-15
+        assert abs(radii[0] - 1.0) < 1e-15
 
     def test_right_triangle(self):
-        c = circumcircle(P(0, 0), P(1, 0), P(0, 1))
-        assert abs(c.center.x - 0.5) < 1e-15 and abs(c.center.y - 0.5) < 1e-15
-        assert abs(c.radius - math.sqrt(2) / 2) < 1e-15
+        centers, radii = _circumcircles(((0, 0), (1, 0), (0, 1)))
+        assert abs(centers[0, 0] - 0.5) < 1e-15 and abs(centers[0, 1] - 0.5) < 1e-15
+        assert abs(radii[0] - math.sqrt(2) / 2) < 1e-15
 
     def test_bisector_solution(self):
         # Independently derived from the two perpendicular bisectors.
-        c = circumcircle(P(0, 0), P(2, 0), P(1, 3))
-        assert abs(c.center.x - 1.0) < 1e-12
-        assert abs(c.center.y - 4.0 / 3.0) < 1e-12
-        assert abs(c.radius - 5.0 / 3.0) < 1e-12
+        centers, radii = _circumcircles(((0, 0), (2, 0), (1, 3)))
+        assert abs(centers[0, 0] - 1.0) < 1e-12
+        assert abs(centers[0, 1] - 4.0 / 3.0) < 1e-12
+        assert abs(radii[0] - 5.0 / 3.0) < 1e-12
 
-    def test_collinear_raises(self):
-        with pytest.raises(CollinearPointsError):
-            circumcircle(P(0, 0), P(1, 1), P(2, 2))
+    def test_collinear_is_not_finite(self):
+        # A flat triangle gets a non-finite circle, and its neighbours in the
+        # same call are unaffected.
+        centers, radii = _circumcircles(((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 0), (0, 1)))
+        assert not np.isfinite(radii[0]) and not np.isfinite(centers[0]).all()
+        assert radii[1] == math.sqrt(2) / 2
 
     def test_equidistance_random(self):
         rng = random.Random(7)
-        for _ in range(500):
-            pts = [P(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(3)]
-            try:
-                c = circumcircle(*pts)
-            except CollinearPointsError:
-                continue
-            for p in pts:
-                assert abs(dist(c.center, p) - c.radius) <= CIRCUMCIRCLE_RTOL * c.radius
+        self._assert_equidistant(
+            [[(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(3)]
+             for _ in range(500)])
 
     def test_equidistance_near_collinear(self):
         rng = random.Random(8)
+        triples = []
         for _ in range(300):
             x1, x2, x3 = sorted(rng.uniform(-1, 1) for _ in range(3))
             eps = rng.uniform(1e-14, 1e-10)
-            pts = [P(x1, 2 * x1), P(x2, 2 * x2 + eps), P(x3, 2 * x3)]
-            try:
-                c = circumcircle(*pts)
-            except CollinearPointsError:
-                continue
-            for p in pts:
-                assert abs(dist(c.center, p) - c.radius) <= CIRCUMCIRCLE_RTOL * c.radius
+            triples.append([(x1, 2 * x1), (x2, 2 * x2 + eps), (x3, 2 * x3)])
+        self._assert_equidistant(triples)
 
 
 class TestTangentPoints:
