@@ -108,8 +108,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geom import GeometryError, dist
 from .triangulation import PointSet, Triangulation, _index_array, _repeats
@@ -178,8 +176,10 @@ class EuclideanGraph:
         return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
 
     @cached_property
-    def _csr(self) -> csr_matrix:
+    def _csr(self):
         """Each edge once in each direction; the column indices ascend."""
+        from scipy.sparse import csr_matrix
+
         n = len(self.points)
         u, v = np.concatenate([self.edge_array, self.edge_array[:, ::-1]]).T
         return csr_matrix((np.tile(self.weights, 2), (u, v)), shape=(n, n))
@@ -263,6 +263,8 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     """
     from time import perf_counter
 
+    from scipy.sparse.csgraph import dijkstra
+
     n = len(g.points)
     if n < 2:
         raise GeometryError("need at least 2 vertices")
@@ -280,7 +282,7 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
     reduced = 0
     for lo in range(0, len(marks), block):
         chunk = marks[lo:lo + block]
-        graph_d = _csgraph_dijkstra(g._csr, directed=True, indices=chunk)
+        graph_d = dijkstra(g._csr, directed=True, indices=chunk)
         if lo == 0 and np.isinf(graph_d[0]).any():
             raise GeometryError("graph is disconnected")
         best, count = _reduce(graph_d, chunk, x, y, best, rows)
@@ -314,9 +316,7 @@ def max_dilation(g: EuclideanGraph, include_pairs: bool = False) -> DilationRepo
         chunk = chunk[top[chunk] >= best[0]]
         if not len(chunk):
             continue
-        graph_d = _csgraph_dijkstra(
-            g._csr, directed=True, indices=chunk, limit=limit[chunk].max()
-        )
+        graph_d = dijkstra(g._csr, directed=True, indices=chunk, limit=limit[chunk].max())
         if debug:
             settled += int(np.count_nonzero(np.isfinite(graph_d)))
         run += len(chunk)

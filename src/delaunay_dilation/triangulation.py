@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geom import (
     _IGNORE,
@@ -138,7 +136,7 @@ def _rows(values, width: int, dtype=None) -> np.ndarray:
     try:
         rows = values if isinstance(values, np.ndarray) else [tuple(v) for v in values]
         cells = [values.dtype.type()] if rows is values else itertools.chain.from_iterable(rows)
-        if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in cells):
+        if any(issubclass(k, (bool, np.bool_, str, bytes)) for k in set(map(type, cells))):
             raise TypeError("booleans and strings are not numbers")
         arr = np.array(rows, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as e:
@@ -554,6 +552,9 @@ def _clusters(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
     """Labels of the components of two or more nodes of the graph on
     range(n) with edges i-j, numbered by their smallest node, and -1 on the
     other nodes; and the number of those components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     _, first, size = np.unique(labels, return_index=True, return_counts=True)

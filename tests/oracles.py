@@ -25,7 +25,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from delaunay_dilation import triangulation as _tri
-from delaunay_dilation.geom import GeometryError, Point2, Sign, incircle, orient2d
+from delaunay_dilation.geom import (
+    ExactIncircle,
+    GeometryError,
+    Point2,
+    Sign,
+    _incircle_signs,
+    incircle,
+    orient2d,
+)
 from delaunay_dilation.triangulation import (
     AllCollinearError,
     PointSet,
@@ -492,13 +500,13 @@ def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> 
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    normalized, _ = _structural_check(ps, t)
+    tris, _ = _structural_check(ps, t)
     coords = ps.coords
-    tris = np.array(normalized, dtype=np.intp)
     centers, radii = _circumcircles_array(coords, tris)
 
     band = 1e-9
     threshold = -band if eps == 0.0 else eps
+    exact = ExactIncircle(coords)
     violations = []
     block = 512
     for lo in range(0, len(tris), block):
@@ -515,19 +523,14 @@ def band_is_valid_delaunay(ps: PointSet, t: Triangulation, eps: float = 0.0) -> 
             np.divide(margins, radii[lo:hi, None], out=margins)
         for k in range(3):
             margins[np.arange(hi - lo), tris[lo:hi, k]] = -np.inf
-        hits = margins > threshold
-        for ti in np.flatnonzero(hits.any(axis=1)).tolist():
-            tri_idx = lo + ti
-            for pi in np.flatnonzero(hits[ti]).tolist():
-                margin = float(margins[ti, pi])
-                if eps == 0.0:
-                    a, b, c = normalized[tri_idx]
-                    s = incircle(ps[a], ps[b], ps[c], ps[pi])
-                    if s is not Sign.POSITIVE:
-                        continue
-                    if margin <= 0.0:
-                        margin = 0.0
-                violations.append((tri_idx, pi, margin))
+        ti, pi = np.nonzero(margins > threshold)
+        found = margins[ti, pi]
+        if eps == 0.0:
+            # The rows are ccw, so one exact sign per pair decides it.
+            inside = _incircle_signs(coords, *tris[lo + ti].T, pi, exact) > 0
+            ti, pi, found = ti[inside], pi[inside], found[inside]
+            found[found <= 0.0] = 0.0
+        violations += zip((lo + ti).tolist(), pi.tolist(), found.tolist())
     violations.sort()
     return ValidityReport(valid=not violations, violations=tuple(violations))
 

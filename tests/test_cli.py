@@ -379,6 +379,75 @@ class TestVerify:
         assert err == f"error: --eps must be a nonnegative number, not {float(eps)!r}\n"
 
 
+# The CLI in a fresh interpreter, which then writes to the file named by its
+# first argument which of scipy and its heavy subpackages it loaded.  Any
+# scipy module loads the `scipy` package first.
+_FRESH_RUN = """
+import json, sys
+from pathlib import Path
+from delaunay_dilation.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as e:
+    code = e.code
+names = ("scipy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.spatial", "scipy.optimize")
+Path(sys.argv[1]).write_text(json.dumps([m for m in names if m in sys.modules]))
+sys.exit(code)
+"""
+
+
+class TestStartUp:
+    """Commands that need no Qhull, kd-tree or csgraph load none of them, and
+    most load no scipy at all: its import takes longer than their work."""
+
+    @pytest.mark.parametrize(
+        "argv, expected, loaded",
+        [
+            ("--help", 0, []),
+            ("construct bogus", 2, []),  # argparse's usage error
+            ("dilation {chew} --pair 0 99", 2, []),  # the CLI's, after reading the points
+            ("verify {chew} {delaunay} --eps 0", 0, []),
+            ("verify {chew} {chew_tri} --eps 0", 1, []),
+            # shortest_path reads the graph's scipy CSR matrix.
+            ("dilation {chew} --triangulation {chew_tri} --pair 3 40", 0,
+             ["scipy", "scipy.sparse"]),
+            ("dilation {chew} --triangulation {chew_tri} --pair 5 6 --out {out}", 0,
+             ["scipy", "scipy.sparse"]),
+        ],
+    )
+    def test_same_output_loading_only_what_it_uses(
+        self, argv, expected, loaded, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+        main(["construct", "chew", "--n", "64", "--out-dir", str(tmp_path), "--no-svg"])
+        ppath = tmp_path / "points.json"
+        dpath = tmp_path / "delaunay.json"
+        dpath.write_text(triangulation_to_json(delaunay(points_from_json(ppath.read_text()))))
+        out_path = tmp_path / "pair.json"
+        argv = argv.format(chew=ppath, chew_tri=tmp_path / "triangulation.json",
+                           delaunay=dpath, out=out_path).split()
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's --help and usage errors
+            code = e.code
+        out, err = capsys.readouterr()
+        written = out_path.read_bytes() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+
+        modules = tmp_path / "loaded.json"
+        path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, str(modules), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+        assert code == expected
+        assert json.loads(modules.read_text()) == loaded
+        assert (out_path.read_bytes() if out_path.exists() else None) == written
+
+
 class TestRandomAndPlant:
     def test_random_medians_nondecreasing(self, tmp_path, capsys):
         out = tmp_path / "trend.csv"

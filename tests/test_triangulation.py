@@ -76,6 +76,19 @@ class TestPointSet:
         assert PointSet([[2**70, 0], [0, 1], [1, 1]]).coords[0, 0] == 1.1805916207174113e21
         assert PointSet(PointSet(SQUARE)) == PointSet(np.array(SQUARE))
 
+    def test_subclasses_of_booleans_and_strings_are_not_numbers(self):
+        class Text(str):
+            pass
+
+        class Raw(bytes):
+            pass
+
+        for cell in (np.True_, Text("1"), Raw(b"1"), b"1", np.str_("1"), np.bytes_(b"1")):
+            for build in (lambda: PointSet([[0.5, 0.5], [cell, 0], [1, 1]]),
+                          lambda: Triangulation([[0, 1, 2], [2, cell, 3]])):
+                with pytest.raises(GeometryError, match="booleans and strings"):
+                    build()
+
     def test_json_round_trip_full_precision(self):
         ps = random_points(17, seed=3, lo=-1e3, hi=1e3)
         again = points_from_json(points_to_json(ps))
