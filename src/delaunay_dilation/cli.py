@@ -82,25 +82,25 @@ def _load_triangulation(path: str):
 # construct
 # --------------------------------------------------------------------------
 
+# Generators by name, looked up in ``constructions`` at call time, so that a
+# wrapper put there (such as a tracer's) sees every call.
 _GENERATORS = {
-    "chew": (cons.ChewSpec, cons.generate_chew),
-    "convex": (cons.TwoSemicircleSpec, cons.generate_two_semicircle),
-    "three-circle": (cons.ThreeCircleSpec, cons.generate_three_circle),
+    "chew": (cons.ChewSpec, "generate_chew"),
+    "convex": (cons.TwoSemicircleSpec, "generate_two_semicircle"),
+    "three-circle": (cons.ThreeCircleSpec, "generate_three_circle"),
 }
 
 
-def _construction(kind: str, options: dict, unknown: str, invalid: str):
-    """(spec, generator) of kind.  The spec takes the options that name its
-    fields and are not None; the others keep its defaults.  The usage errors
-    read "unknown <unknown> 'kind'" and "invalid <kind> <invalid>: ..."."""
-    if kind not in _GENERATORS:
-        raise _UsageError(f"unknown {unknown} {kind!r}")
-    spec_type, generate = _GENERATORS[kind]
+def _construction(kind: str, options: dict, invalid: str):
+    """(spec, generator) of kind, one of argparse's choices.  The spec takes
+    the options that name its fields and are not None; the others keep its
+    defaults.  A bad parameter is the usage error "invalid <kind> <invalid>: ..."."""
+    spec_type, name = _GENERATORS[kind]
     names = {f.name for f in dataclasses.fields(spec_type)}
     given = {k: v for k, v in options.items() if k in names and v is not None}
     # The specs check their parameters, so a bad one is an input error.
     try:
-        return spec_type(**given), generate
+        return spec_type(**given), getattr(cons, name)
     except GeometryError as e:
         raise _UsageError(f"invalid {kind} {invalid}: {e}") from e
 
@@ -108,7 +108,7 @@ def _construction(kind: str, options: dict, unknown: str, invalid: str):
 def _build_construction(args):
     n_arc = max(5, args.points // 2) if args.n_arc is None else args.n_arc
     options = {**vars(args), "n_arc": n_arc}
-    return _construction(args.kind, options, "construction kind", "parameters")
+    return _construction(args.kind, options, "parameters")
 
 
 def _guide_circles(spec) -> list[tuple[float, float, float]]:
@@ -179,10 +179,7 @@ def _cmd_dilation(args) -> int:
     graph = graph_from_triangulation(ps, tri)
     if args.pair:
         u, v = args.pair
-        try:
-            value = pair_dilation(graph, u, v)
-        except GeometryError as e:
-            raise _DomainFailure(str(e)) from e
+        value = pair_dilation(graph, u, v)
         print(f"pair ({u}, {v}) dilation: {value!r}")
         if args.out:
             _write(Path(args.out), json.dumps({"pair": [u, v], "dilation": value}))
@@ -284,7 +281,7 @@ def _planted_config(kind: str, args) -> PointSet:
         options = {"n_arc": max(5, args.config_n // 2)}
     else:
         options = {"arc_density": 60.0}
-    spec, generate = _construction(kind, options, "config kind", "configuration")
+    spec, generate = _construction(kind, options, "configuration")
     out = generate(spec)
     coords = make_unique_delaunay(out.points, out.triangulation, budget=1e-6).coords
     low = coords.min(axis=0)

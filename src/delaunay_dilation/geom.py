@@ -11,7 +11,8 @@ This module is the only one that decides a predicate sign, and each
 predicate has one path: the batched float filter (``_filter_signs``) over
 rows of point indices, then one exact step on every row it leaves open.
 ``_orientations`` takes that step on integers with one common power-of-two
-scale; ``_incircle_signs`` takes it with ``ExactIncircle``.  The scalar
+scale; ``_incircle_signs``, which every incircle sign of the package goes
+through, takes it with ``ExactIncircle.signs``.  The scalar
 ``orient2d`` and ``incircle`` run the same filter on one row, and their
 exact names, ``_orient2d_exact`` and ``_incircle_exact``, are one-row calls
 into the same exact steps.  ``_circumcircles_array`` is the package's one
@@ -111,11 +112,8 @@ def dist(a: Point2, b: Point2) -> float:
 
 
 def _sign(value) -> Sign:
-    if value > 0:
-        return Sign.POSITIVE
-    if value < 0:
-        return Sign.NEGATIVE
-    return Sign.ZERO
+    # Callers pass only values with |value| > bound > 0.
+    return Sign.POSITIVE if value > 0 else Sign.NEGATIVE
 
 
 def _as_scaled_ints(values):
@@ -229,17 +227,18 @@ def _incircle_float(ax, ay, bx, by, cx, cy, dx, dy):
 def _incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> Sign:
     """incircle of one row with ccw abc, by ``ExactIncircle``."""
     rows = np.arange(4)[:, None]
-    return Sign(int(ExactIncircle([[*a], [*b], [*c], [*d]])._quad_signs(*rows)[0]))
+    return Sign(int(ExactIncircle([[*a], [*b], [*c], [*d]]).signs(*rows)[0]))
 
 
 def _incircle_signs(coords: np.ndarray, u, v, w, x, exact=None) -> np.ndarray:
-    """incircle(u, v, w, x) per row, for ccw (u, v, w): the float filter,
-    then ``ExactIncircle`` (exact, if given) on the rows it cannot certify."""
+    """incircle(u, v, w, x) over broadcast index arrays, for ccw (u, v, w):
+    the float filter, then ``ExactIncircle`` (exact, if given) on the
+    entries it cannot certify, in row-major order."""
     signs = _filter_signs(_incircle_float, coords, u, v, w, x)
-    unsure = np.flatnonzero(signs == 0)
-    if unsure.size:
+    unsure = signs == 0
+    if unsure.any():
         exact = ExactIncircle(coords) if exact is None else exact
-        signs[unsure] = exact._quad_signs(u[unsure], v[unsure], w[unsure], x[unsure])
+        signs[unsure] = exact.signs(*(k[unsure] for k in np.broadcast_arrays(u, v, w, x)))
     return signs
 
 
@@ -266,11 +265,15 @@ class ExactIncircle:
     Rows the float filter of ``incircle`` leaves open are decided in two
     stages: reference circles in floats, then integers for what they leave.
 
+    A row whose d is a vertex of its own triangle gets 0 before either
+    stage: a vertex lies on its own circle.
+
     Integers.  The coordinates are scaled to integers by one common power of
     two, which is exact, and each point is lifted to (X, Y, L = X² + Y²).
     The in-circle determinant of a ccw triangle abc and a point d is the
     4×4 determinant with rows (X, Y, L, 1) of a, b, c, d; it is positive
     when d lies inside.  Expanding it along d's row gives four cofactors per
+    triangle, computed once per run of consecutive rows with the same
     triangle, so a pair then costs k0·X + k1·Y + k2·L + k3 in Python
     integers.
 
@@ -322,11 +325,9 @@ class ExactIncircle:
     rows each stage decided.
     """
 
-    def __init__(self, coords, tris=None):
-        """coords: (n, 2) floats; tris: (T, 3) indices of ccw triangles, the
-        rows that ``signs`` reads.  Nothing is computed until a row needs it."""
+    def __init__(self, coords):
+        """coords: (n, 2) floats.  Nothing is computed until a row needs it."""
         self._coords = np.asarray(coords, dtype=np.float64)
-        self._tris = tris
         self._references = []  # the float powers of every point, per circle
         self._owed = 0  # rows left to the integers since the last reference
         self.counts = dict(reference=0, integer=0)
@@ -336,10 +337,6 @@ class ExactIncircle:
         ints = np.array(_as_scaled_ints(self._coords.ravel().tolist()), dtype=object)
         x, y = ints[0::2], ints[1::2]
         return x, y, x * x + y * y
-
-    @cached_property
-    def _cofactors(self):
-        return self._cofactors_of(self._tris)
 
     @cached_property
     def _unit(self):
@@ -354,40 +351,35 @@ class ExactIncircle:
         x, y, _ = self._lifted
         return unit, int(abs((x, y)[top % 2][top // 2])).bit_length()
 
-    def _cofactors_of(self, tris):
-        (xa, xb, xc), (ya, yb, yc), (la, lb, lc) = (v[tris.T] for v in self._lifted)
-        ab = xa * yb - ya * xb
-        bc = xb * yc - yb * xc
-        ca = xc * ya - yc * xa
-        return (
-            -(ya * (lb - lc) + yb * (lc - la) + yc * (la - lb)),
-            xa * (lb - lc) + xb * (lc - la) + xc * (la - lb),
-            -(ab + bc + ca),
-            la * bc + lb * ca + lc * ab,
-        )
-
-    def signs(self, rows, points):
-        """int8 signs of incircle(tris[rows[k]], points[k]); POSITIVE = inside."""
-        a, b, c = self._tris[rows].T
-        return self._signs(
-            a, b, c, points, lambda k: tuple(v[rows[k]] for v in self._cofactors)
-        )
-
-    def _quad_signs(self, u, v, w, x):
-        """int8 signs of incircle(u[k], v[k], w[k], x[k]) for ccw (u, v, w)."""
-        return self._signs(
-            u, v, w, x, lambda k: self._cofactors_of(np.stack([u[k], v[k], w[k]], axis=1))
-        )
-
-    def _signs(self, a, b, c, d, cofactors):
-        """The two stages on rows (a, b, c, d); cofactors(k) gives rows k's."""
-        signs = self._reference_signs(a, b, c, d)
-        left = np.flatnonzero(signs == 0)
-        self.counts["reference"] += len(a) - len(left)
+    def signs(self, a, b, c, d):
+        """int8 signs of incircle(a[k], b[k], c[k], d[k]) for ccw (a, b, c);
+        POSITIVE = inside."""
+        signs = np.zeros(len(a), dtype=np.int8)
+        off = np.flatnonzero((d != a) & (d != b) & (d != c))
+        got = self._reference_signs(*(v[off] for v in (a, b, c, d)))
+        signs[off] = got
+        left = off[got == 0]
+        self.counts["reference"] += len(off) - len(left)
         self.counts["integer"] += len(left)
         if len(left):
-            x, y, lift = (v[d[left]] for v in self._lifted)
-            k0, k1, k2, k3 = cofactors(left)
+            a, b, c, d = (v[left] for v in (a, b, c, d))
+            # One set of cofactors per run of rows with the same triangle.
+            new = np.concatenate(
+                ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (c[1:] != c[:-1]))
+            )
+            tris = np.stack([a[new], b[new], c[new]])
+            (xa, xb, xc), (ya, yb, yc), (la, lb, lc) = (v[tris] for v in self._lifted)
+            ab = xa * yb - ya * xb
+            bc = xb * yc - yb * xc
+            ca = xc * ya - yc * xa
+            run = np.cumsum(new) - 1
+            k0, k1, k2, k3 = (k[run] for k in (
+                -(ya * (lb - lc) + yb * (lc - la) + yc * (la - lb)),
+                xa * (lb - lc) + xb * (lc - la) + xc * (la - lb),
+                -(ab + bc + ca),
+                la * bc + lb * ca + lc * ab,
+            ))
+            x, y, lift = (v[d] for v in self._lifted)
             det = k0 * x + k1 * y + k2 * lift + k3
             signs[left] = (det > 0).astype(np.int8) - (det < 0)
         return signs

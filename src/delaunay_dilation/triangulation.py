@@ -14,9 +14,8 @@ smallest completion, so the triangles are a pure function of the points.
 
 Every predicate sign here comes from ``geom``: its batched paths
 ``_orientations`` and ``_incircle_signs`` (the float filter, then one exact
-step on the rows it leaves open), or ``_filter_signs`` and
-``ExactIncircle.signs`` where the validity scan splits the two.  The float
-circumcircles are ``geom._circumcircles_array``.
+step on the rows it leaves open).  The float circumcircles are
+``geom._circumcircles_array``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .geom import (
     GeometryError,
     Point2,
     _circumcircles_array,
-    _filter_signs,
-    _incircle_float,
     _incircle_signs,
     _orientations,
     orient2d,
@@ -726,7 +723,7 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
         raise ValueError("eps must be a nonnegative number")
     tris, (quads, _) = _structural_check(ps, t)
     coords = ps.coords
-    exact = ExactIncircle(coords, tris)
+    exact = ExactIncircle(coords)
     if eps == 0.0:
         legal = _incircle_signs(coords, *_inner(quads), exact)
         counts = dict(path="lemma", candidates=len(legal))
@@ -752,22 +749,21 @@ def _violation_blocks(ps: PointSet, t: Triangulation, eps: float):
 
 def _exact_scan(coords, tris, exact, counts):
     """The eps=0 violations among all (triangle, point) pairs, a block of
-    triangles at a time; adds the pairs and the filter's decisions to counts."""
+    triangles at a time; adds the pairs and the filter's decisions to counts.
+    The filter's count leaves out the pairs of a triangle and its own
+    vertices, which ``ExactIncircle`` sets to 0."""
     centers, radii = _circumcircles_array(coords, tris)
     points = np.arange(len(coords))[None, :]
     block = max(1, _PAIR_BLOCK // len(coords))
     for lo in range(0, len(tris), block):
         own = tris[lo : lo + block]
-        rows = np.arange(len(own))[:, None]
+        before = sum(exact.counts.values())
+        signs = _incircle_signs(coords, *np.hsplit(own, 3), points, exact)
+        decided = sum(exact.counts.values()) - before
+        counts["candidates"] += signs.size
+        counts["filter"] += signs.size - own.size - decided
+        ti, pi = np.nonzero(signs > 0)
         with np.errstate(**_IGNORE):
-            signs = _filter_signs(_incircle_float, coords, *np.hsplit(own, 3), points)
-            signs[rows, own] = -1  # a triangle's own vertices lie on its circle
-            unsure = np.nonzero(signs == 0)
-            counts["candidates"] += signs.size
-            counts["filter"] += signs.size - own.size - unsure[0].size
-            if unsure[0].size:
-                signs[unsure] = exact.signs(lo + unsure[0], unsure[1])
-            ti, pi = np.nonzero(signs > 0)
             m = _margins(coords, centers, radii, lo + ti, pi)
             margins = np.where(m > 0.0, m, 0.0)  # NaN becomes 0.0 too
         if len(ti):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -100,6 +101,34 @@ class TestConstruct:
         assert computed == pytest.approx(1.53073, abs=1e-5)
         svg = (tmp_path / "figure.svg").read_text()
         assert "witness-path" in svg
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["convex", "--points", "64", "--d", "0.29"], TwoSemicircleSpec(d=0.29)),
+            (["three-circle", "--arc-density", "60"], ThreeCircleSpec(arc_density=60.0)),
+        ],
+        ids=["convex", "three-circle"],
+    )
+    def test_figure_draws_the_guide_circles(self, argv, spec, tmp_path):
+        assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 0
+        svg = (tmp_path / "figure.svg").read_text()
+        _, y0, _, vh = map(float, re.search(r'viewBox="([^"]+)"', svg).group(1).split())
+        # The guide circles are the dashed ones; the figure flips y about
+        # the middle of the view box.
+        circles = [
+            (float(cx), 2.0 * y0 + vh - float(cy), float(r))
+            for cx, cy, r in re.findall(
+                r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" fill="none" '
+                r'stroke="#bbbbbb" stroke-dasharray=', svg
+            )
+        ]
+        want = [(-spec.d / 2.0, 0.0, 1.0), (spec.d / 2.0, 0.0, 1.0)]
+        if isinstance(spec, ThreeCircleSpec):
+            want.append((0.0, 0.0, spec.r))
+        assert len(circles) == len(want)
+        for got, expect in zip(circles, want):
+            assert got == pytest.approx(expect, abs=1e-5)
 
     def test_assert_bound_failure(self, tmp_path):
         code = main(

@@ -21,6 +21,7 @@ from delaunay_dilation.constructions import (
     generate_three_circle,
     generate_two_semicircle,
 )
+from delaunay_dilation import dilation as dilation_module
 from delaunay_dilation.dilation import (
     _BLOCK_ENTRIES,
     _SLACK,
@@ -395,6 +396,26 @@ class TestPrunedMatchesOracles:
                 assert got.max_dilation == rep.max_dilation
                 assert got.witness == rep.witness
                 assert got.witness_path == rep.witness_path
+
+    def test_pairs_out_of_the_normal_range_match_dense(self, monkeypatch):
+        # Two points 1e-150 apart among points of size about 1: a pair's
+        # squared distance leaves the normal range of the bounds, so the
+        # first pass keeps it with an infinite bound.
+        coords = np.vstack([sample(UniformSquare(), 300, 3).coords,
+                            [(1e-150, 1e-150), (2e-150, 1e-150)]])
+        ps = PointSet(coords)
+        g = graph_from_triangulation(ps, delaunay(ps))
+        wild = []
+
+        def spy(*args):
+            pairs, out = first_pass(*args)
+            wild.append(0 if out is None else out.shape[1])
+            return pairs, out
+
+        first_pass = dilation_module._first_pass
+        monkeypatch.setattr(dilation_module, "_first_pass", spy)
+        assert max_dilation(g) == dense_report(g, include_pairs=False)
+        assert sum(wild) >= 1
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

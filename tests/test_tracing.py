@@ -59,3 +59,16 @@ def test_install_wraps_every_target_and_uninstall_restores_them():
         assert all(now[k] is v for k, v in before[id(ns)].items()), ns.__name__
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn
+
+
+def test_construct_calls_the_wrapped_generator(tmp_path):
+    # cli looks the generator up in constructions when it runs, so the
+    # tracer's wrapper there sees the call.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["construct", "chew", "--n", "16", "--out-dir", str(tmp_path), "--no-svg"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert [s[0] for s in tracer.spans].count("constructions.generate") == 1

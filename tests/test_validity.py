@@ -262,7 +262,7 @@ def test_exact_incircle_matches_rational_oracle():
                 tris.append(tri if o > 0 else (tri[0], tri[2], tri[1]))
         tris = rng.sample(tris, min(40, len(tris)))
         rows, points = np.divmod(np.arange(len(tris) * len(pts)), len(pts))
-        got = ExactIncircle(np.array(pts), np.array(tris)).signs(rows, points)
+        got = ExactIncircle(np.array(pts)).signs(*np.array(tris)[rows].T, points)
         want = [incircle_frac(*(pts[k] for k in tris[i]), pts[p]) for i, p in zip(rows, points)]
         assert got.tolist() == want, case
 
@@ -290,11 +290,13 @@ def test_reference_stage_agrees_with_rational_oracle(pts, rnd):
     rows, points = np.divmod(np.arange(len(tris) * len(pts)), len(pts))
     want = np.array([incircle_frac(*(pts[k] for k in tris[i]), pts[p])
                      for i, p in zip(rows, points)])
-    exact = ExactIncircle(np.array(pts), tris)
-    # More rows than points: the first call builds a reference circle.
-    assert exact.signs(rows, points).tolist() == want.tolist()
-    assert sum(exact.counts.values()) == len(rows)
     a, b, c = tris[rows].T
+    exact = ExactIncircle(np.array(pts))
+    # More rows than points: the first call builds a reference circle.
+    assert exact.signs(a, b, c, points).tolist() == want.tolist()
+    # A triangle's own vertices get 0 before either stage.
+    off = (points != a) & (points != b) & (points != c)
+    assert sum(exact.counts.values()) == np.count_nonzero(off)
     # The stage is off where scaling to |x| < 1 is not exact (5e-324 and 5).
     for tri in tris[:5] if exact._unit is not None else ():
         power = exact._power(*tri)
@@ -313,8 +315,8 @@ def test_reference_stage_decides_a_rounded_circle():
     rng = np.random.default_rng(5)
     rows = rng.integers(0, len(tris), 4000)
     points = rng.integers(0, 512, 4000)
-    exact = ExactIncircle(out.points.coords, tris)
-    signs = exact.signs(rows, points)
+    exact = ExactIncircle(out.points.coords)
+    signs = exact.signs(*tris[rows].T, points)
     assert exact.counts["reference"] >= 3900
     some = rng.choice(4000, 150, replace=False)
     pts = out.points.coords.tolist()
@@ -334,7 +336,7 @@ def _dense_report(ps, t, eps):
         with np.errstate(all="ignore"):
             return band_is_valid_delaunay(ps, t, eps)
     tris, _ = _structural_check(ps, t)
-    scan = _exact_scan(ps.coords, tris, ExactIncircle(ps.coords, tris),
+    scan = _exact_scan(ps.coords, tris, ExactIncircle(ps.coords),
                        dict(candidates=0, filter=0))
     violations = [v for ti, pi, m in scan for v in zip(ti.tolist(), pi.tolist(), m.tolist())]
     return ValidityReport(valid=not violations, violations=tuple(violations))
